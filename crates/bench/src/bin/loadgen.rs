@@ -41,6 +41,7 @@
 //! `--batch-bench-out` persists `BENCH_batch_serving.json` (`bench:
 //! "loadgen-batch"`) with per-batch QPS and latency quantiles.
 
+use atena_bench::quantile;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -338,14 +339,6 @@ fn try_parse(buf: &[u8]) -> Result<Option<(u16, Vec<(String, String)>, String)>,
         return Ok(None);
     }
     Ok(Some((status, headers, rest[..len].to_string())))
-}
-
-fn quantile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 // ---- mixed-tenant open-loop mode ---------------------------------------

@@ -1,6 +1,8 @@
 //! Rollout-throughput driver for the `atena-runtime` scatter engine:
-//! collects identical rollout iterations at several worker counts — each
-//! both with and without the shared display cache — and reports steps/sec,
+//! collects identical rollout iterations at several worker counts (each
+//! worker's shard of lanes shares one batched policy forward per step, so
+//! the worker count also sets the batch size) — each both with and
+//! without the shared display cache — and reports steps/sec,
 //! the speedup over one worker, and the cache's hit rate and speedup,
 //! while asserting the determinism contract (every worker count and cache
 //! configuration must produce bit-identical trajectories).
@@ -25,13 +27,10 @@
 //! determinism check is meaningful everywhere.
 
 use atena_batch::BatchPlanner;
-use atena_bench::{f2, finish_telemetry, init_telemetry, render_table};
+use atena_bench::{f2, finish_telemetry, init_telemetry, quantile, render_table};
 use atena_core::{Atena, AtenaConfig, Strategy};
 use atena_env::{DisplayCache, DisplayCacheStats, EdaEnv};
-use atena_rl::{
-    ActionMapper, ParallelRollouts, Policy, RolloutPlan, RolloutSource, TwofoldConfig,
-    TwofoldPolicy,
-};
+use atena_rl::{ActionMapper, Policy, RolloutPlan, Rollouts, TwofoldConfig, TwofoldPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -258,15 +257,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     Ok(config)
 }
 
-/// Duration quantile over a sorted sample.
-fn quantile_us(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)].as_secs_f64() * 1e6
-}
-
 /// One timed sweep at a worker count and display-cache capacity; returns
 /// (secs, trajectory digest, cache stats). The digest folds every step
 /// reward in buffer order, so two sweeps with equal digests collected the
@@ -280,7 +270,7 @@ fn sweep(
     cache_capacity: usize,
     traced: bool,
 ) -> (f64, u64, DisplayCacheStats) {
-    let mut source = ParallelRollouts::with_cache_capacity(
+    let mut source = Rollouts::new(
         frame,
         env_config,
         config.lanes,
@@ -315,17 +305,16 @@ fn sweep(
                 let (buffer, _episodes) = source.collect(&plan);
                 drop(collect);
                 if trace.is_recording() {
-                    if let Some(profile) = source.scatter_profile() {
-                        for (w, wp) in profile.workers.iter().enumerate() {
-                            trace.record_exact(
-                                collect_id,
-                                "rollout.worker",
-                                wp.busy_secs,
-                                vec![("worker", w.to_string()), ("lanes", wp.items.to_string())],
-                            );
-                        }
-                        trace.record_exact(collect_id, "rollout.merge", profile.merge_secs, vec![]);
+                    let profile = source.scatter_profile();
+                    for (w, wp) in profile.workers.iter().enumerate() {
+                        trace.record_exact(
+                            collect_id,
+                            "rollout.worker",
+                            wp.busy_secs,
+                            vec![("worker", w.to_string()), ("lanes", wp.items.to_string())],
+                        );
                     }
+                    trace.record_exact(collect_id, "rollout.merge", profile.merge_secs, vec![]);
                 }
                 buffer
             }
@@ -752,11 +741,8 @@ fn main() {
         let base_sps = *batch1_sps.get_or_insert(sps);
         let speedup = sps / base_sps.max(1e-9);
         batch_digests.push((batch, digest));
-        let (p50, p95, p99) = (
-            quantile_us(&forward_lat, 0.50),
-            quantile_us(&forward_lat, 0.95),
-            quantile_us(&forward_lat, 0.99),
-        );
+        let quantile_us = |q| quantile(&forward_lat, q).as_secs_f64() * 1e6;
+        let (p50, p95, p99) = (quantile_us(0.50), quantile_us(0.95), quantile_us(0.99));
         batch_records.push(BatchSweepRecord {
             batch,
             steps_per_sec: sps,

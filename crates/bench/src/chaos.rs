@@ -26,6 +26,7 @@
 //! The `chaos` binary wires this module to a self-hosted server from a
 //! checkpoint and persists `BENCH_chaos.json`.
 
+use crate::quantile;
 use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -638,15 +639,6 @@ pub struct LatencySummary {
     pub p50_ms: f64,
     pub p95_ms: f64,
     pub p99_ms: f64,
-}
-
-/// Nearest-rank quantile over a sorted slice.
-pub fn quantile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Summarize (and sort) a latency sample.

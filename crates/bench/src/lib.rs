@@ -19,6 +19,7 @@ use atena_rl::TrainerConfig;
 use serde::Serialize;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Every system the experiments compare: the six generation strategies plus
 /// the two human-derived baselines.
@@ -218,6 +219,15 @@ pub fn dump_json_to<T: Serialize>(path: &std::path::Path, value: &T) -> std::io:
             .as_bytes(),
     )?;
     file.write_all(b"\n")
+}
+
+/// Nearest-rank quantile over a sorted slice (zero when empty).
+pub fn quantile(sorted: &[Duration], q: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Format a float with 2 decimals.

@@ -93,10 +93,10 @@ OPTIONS:
   --strategy <S>      atena | atn-io | ots-drl | ots-drl-b |
                       greedy-cr | greedy-io              [default: atena]
   --seed <N>          random seed                        [default: 0]
-  --workers <N>       rollout threads for training; changes speed, never
-                      results (DESIGN.md §4h)   [default: available parallelism]
-  --batch-lanes <N>   lanes stepped per batched policy forward; changes
-                      speed, never results (DESIGN.md §4l)  [default: 0 (off)]
+  --workers <N>       rollout threads for training, each stepping its share
+                      of the lanes through one batched policy forward per
+                      step; changes speed, never results (DESIGN.md §4h/§4l)
+                      [default: available parallelism]
   --out <file.md>     write the notebook as Markdown (default: stdout)
   --json <file.json>  also write the notebook summary as JSON
   --log-level <L>     error | warn | info | debug        [default: $ATENA_LOG or info]
@@ -243,9 +243,6 @@ pub struct GenerateOpts {
     /// Rollout threads for training (`None` = available parallelism).
     /// Execution-only: never affects results.
     pub workers: Option<usize>,
-    /// Rows per batched policy forward during rollouts (0 = per-lane
-    /// serial forwards). Execution-only, like `workers`.
-    pub batch_lanes: usize,
     /// Markdown output path (stdout when `None`).
     pub out: Option<String>,
     /// JSON output path.
@@ -267,7 +264,6 @@ impl Default for GenerateOpts {
             strategy: Strategy::Atena,
             seed: 0,
             workers: None,
-            batch_lanes: 0,
             out: None,
             json: None,
             log_level: None,
@@ -335,12 +331,6 @@ fn parse_opts(args: &[String]) -> Result<GenerateOpts, CliError> {
                         .parse()
                         .map_err(|_| CliError::Usage("--workers expects an integer".into()))?,
                 );
-                i += 2;
-            }
-            "--batch-lanes" => {
-                opts.batch_lanes = value(i)?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--batch-lanes expects an integer".into()))?;
                 i += 2;
             }
             "--out" => {
@@ -610,13 +600,10 @@ fn config_for(opts: &GenerateOpts) -> AtenaConfig {
     config.env.episode_len = opts.episode_len;
     config.env.seed = opts.seed;
     config.trainer.seed = opts.seed;
-    // Thread count only — the determinism contract (DESIGN.md §4h)
-    // guarantees results don't depend on it, so defaulting to whatever
-    // the machine has is safe.
+    // Thread count, and so rollout batch size, only — the determinism
+    // contract (DESIGN.md §4h, §4l) guarantees results don't depend on
+    // it, so defaulting to whatever the machine has is safe.
     config.trainer.n_workers = opts.workers.unwrap_or_else(atena_runtime::default_workers);
-    // Also execution-only (DESIGN.md §4l): lane batching changes steps/sec,
-    // never the transcript.
-    config.trainer.batch_lanes = opts.batch_lanes;
     config
 }
 
@@ -1532,24 +1519,6 @@ garbage line
         // Unset: auto-detect yields at least one thread.
         let auto = config_for(&GenerateOpts::default());
         assert!(auto.trainer.n_workers >= 1);
-    }
-
-    #[test]
-    fn batch_lanes_flag_parses_on_generate_paths() {
-        let Command::Train { opts, .. } =
-            parse(&args(&["train", "cyber2", "--batch-lanes", "8"])).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(opts.batch_lanes, 8);
-        let config = config_for(&opts);
-        assert_eq!(config.trainer.batch_lanes, 8);
-        // Default: lane batching off.
-        assert_eq!(config_for(&GenerateOpts::default()).trainer.batch_lanes, 0);
-        assert!(matches!(
-            parse(&args(&["train", "cyber2", "--batch-lanes", "x"])),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

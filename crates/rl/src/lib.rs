@@ -10,10 +10,11 @@
 //!   distinct action (OTS-DRL / OTS-DRL-B);
 //! - [`PpoLearner`] — advantage actor-critic with PPO clipping, GAE(λ), and
 //!   entropy regularization;
-//! - [`Trainer`] — deterministic rollout collection over the
-//!   `atena-runtime` worker pool (serial and parallel [`RolloutSource`]s
-//!   are bit-identical at a seed) with synchronous PPO updates,
-//!   convergence-curve logging, and best-episode extraction;
+//! - [`Trainer`] — deterministic rollout collection by a [`Rollouts`]
+//!   lane fleet, sharded over the `atena-runtime` worker pool with each
+//!   shard's lanes batched through one policy forward per step
+//!   (bit-identical at a seed for any worker count), with synchronous PPO
+//!   updates, convergence-curve logging, and best-episode extraction;
 //! - [`greedy_episode`] — the non-learned Greedy-IO / Greedy-CR baselines.
 
 #![forbid(unsafe_code)]
@@ -38,9 +39,6 @@ pub use policy::{
 };
 pub use ppo::{PpoConfig, PpoLearner, UpdateStats};
 pub use rollout::{AdvantageEstimates, RolloutBuffer, RolloutStep};
-pub use source::{
-    BatchedRollouts, ParallelRollouts, RolloutPlan, RolloutSource, SerialRollouts,
-    DEFAULT_DISPLAY_CACHE,
-};
+pub use source::{RolloutPlan, Rollouts, DEFAULT_DISPLAY_CACHE};
 pub use trainer::{CurvePoint, EpisodeRecord, TrainLog, Trainer, TrainerConfig};
 pub use twofold::{TwofoldConfig, TwofoldPolicy};

@@ -1,22 +1,25 @@
-//! Rollout sources: where the trainer's experience comes from.
+//! Rollout collection: where the trainer's experience comes from.
 //!
-//! A [`RolloutSource`] owns a fleet of episode *lanes* — independent
-//! [`EdaEnv`]s that persist across iterations — and collects one
-//! iteration's worth of trajectory fragments from them on demand. The
-//! determinism contract (DESIGN.md §4h) is enforced here:
+//! [`Rollouts`] owns a fleet of episode *lanes* — independent
+//! [`EdaEnv`]s that persist across iterations — sharded over an
+//! [`atena_runtime::Runtime`]. Each shard steps its lanes in lockstep: one
+//! `[lanes_in_shard, obs_dim]` policy forward per environment step, then
+//! per-lane sampling and stepping in lane order. The batch size is the
+//! shard size, so the worker count alone sets the schedule: `workers >=
+//! n_lanes` steps every lane on its own, `workers = 1` batches all lanes.
+//!
+//! The determinism contract (DESIGN.md §4h, §4l) is enforced here:
 //!
 //! - lane `l`'s randomness at iteration `k` comes from the counter-derived
 //!   stream `stream_seed(base_seed, l, k)` — never from a shared stateful
 //!   RNG, so it cannot depend on scheduling;
+//! - the batched forward is row-independent and every lane samples from
+//!   its own stream, so a lane's trajectory does not depend on which lanes
+//!   share its batch;
 //! - fragments are merged in lane order, so the buffer layout depends
 //!   only on `(n_lanes, rollout_len)`.
-//!
-//! [`SerialRollouts`] walks the lanes in order on the calling thread and
-//! is the reference schedule; [`ParallelRollouts`] shards the same lanes
-//! over an [`atena_runtime::Runtime`] and produces bit-identical output
-//! because neither the streams nor the merge order involve threads.
 
-use crate::policy::{ActionMapper, MappedAction, Policy};
+use crate::policy::{ActionMapper, MappedAction, Policy, PolicyStep};
 use crate::rollout::{RolloutBuffer, RolloutStep};
 use crate::trainer::EpisodeRecord;
 use atena_batch::BatchPlanner;
@@ -29,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything a source needs to collect one iteration of experience.
+/// Everything the fleet needs to collect one iteration of experience.
 ///
 /// Borrowed, not owned: the plan is rebuilt by the trainer each iteration
 /// with the current temperature and iteration counter.
@@ -50,78 +53,51 @@ pub struct RolloutPlan<'a> {
     pub iteration: u64,
 }
 
-/// One episode lane: an environment plus the running episode totals that
-/// survive across iteration boundaries (episodes need not align with
-/// rollout fragments).
+/// Transitions and completed episodes collected from one or more lanes.
+type Fragment = (RolloutBuffer, Vec<EpisodeRecord>);
+
+/// One episode lane: an environment plus the reward breakdown of its
+/// running episode, which survives iteration boundaries (episodes need not
+/// align with rollout fragments).
 struct Lane {
     env: EdaEnv,
-    episode_reward: f64,
-    episode_breakdown: RewardBreakdown,
+    breakdown: RewardBreakdown,
 }
 
-/// A supplier of rollout experience over a fixed fleet of lanes.
-///
-/// Implementations must uphold the determinism contract: `collect`'s
-/// output is a pure function of the lane states and the plan — in
-/// particular it must not depend on how many threads executed it.
-pub trait RolloutSource: Send {
-    /// Collect `rollout_len` steps from every lane; fragments merged in
-    /// lane order.
-    fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>);
-
-    /// Number of episode lanes.
-    fn n_lanes(&self) -> usize;
-
-    /// Mutable access to one lane's environment (used for evaluation
-    /// episodes, which borrow lane 0).
-    fn lane_env_mut(&mut self, lane: usize) -> &mut EdaEnv;
-
-    /// Reroute any metrics this source records to `registry`.
-    fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>);
-
-    /// Timing profile of the most recent `collect` (per-worker busy time,
-    /// merge cost), when the source runs on a worker pool. `None` for
-    /// sources without one. Read-only observability: feeding it anywhere
-    /// back into collection would break the determinism contract.
-    fn scatter_profile(&self) -> Option<ScatterProfile> {
-        None
+impl Lane {
+    /// Take the policy's sampled `step` at observation `obs`: score it,
+    /// append the transition to `fragment`, and at an episode's end record
+    /// the episode and reset with a seed drawn from the lane's `rng`.
+    fn advance(
+        &mut self,
+        obs: Vec<f32>,
+        step: PolicyStep,
+        rng: &mut StdRng,
+        plan: &RolloutPlan<'_>,
+        fragment: &mut Fragment,
+    ) {
+        let r = step_env(&mut self.env, &plan.mapper.map(&step.choice), plan.reward);
+        self.breakdown += r;
+        let done = self.env.done();
+        fragment.0.push(RolloutStep {
+            obs,
+            choice: step.choice,
+            log_prob: step.log_prob,
+            value: step.value,
+            reward: r.total as f32,
+            done,
+        });
+        if done {
+            fragment.1.push(episode_record(&self.env, self.breakdown));
+            self.breakdown = RewardBreakdown::default();
+            self.env.reset_with_seed(rng.gen());
+        }
     }
 }
 
-/// Default capacity of the display cache a rollout source shares across
-/// its lanes (see [`DisplayCache`]; 0 disables caching).
+/// Default capacity of the display cache the lane fleet shares (see
+/// [`DisplayCache`]; 0 disables caching).
 pub const DEFAULT_DISPLAY_CACHE: usize = 1024;
-
-/// Build the lane fleet: one cheap fork of a template environment per
-/// lane (shared base frame, shared action-space construction, shared
-/// display cache when one is given), each with its own counter-derived
-/// config seed and initial episode seed.
-fn make_lanes(
-    base: &DataFrame,
-    env_config: &EnvConfig,
-    n_lanes: usize,
-    base_seed: u64,
-    cache: Option<&Arc<DisplayCache>>,
-) -> Vec<Lane> {
-    let mut template_config = env_config.clone();
-    template_config.seed = stream_seed(base_seed, 0, STREAM_ENV);
-    let mut template = EdaEnv::with_shared_base(Arc::new(base.clone()), template_config);
-    if let Some(cache) = cache {
-        template = template.with_display_cache(Arc::clone(cache));
-    }
-    (0..n_lanes.max(1))
-        .map(|lane| {
-            let lane = lane as u64;
-            let mut env = template.fork_with_seed(stream_seed(base_seed, lane, STREAM_ENV));
-            env.reset_with_seed(stream_seed(base_seed, lane, STREAM_INIT));
-            Lane {
-                env,
-                episode_reward: 0.0,
-                episode_breakdown: RewardBreakdown::default(),
-            }
-        })
-        .collect()
-}
 
 /// Apply a mapped action to the environment, scoring it with the reward
 /// model; returns the per-component reward breakdown.
@@ -156,390 +132,142 @@ pub(crate) fn episode_record(env: &EdaEnv, breakdown: RewardBreakdown) -> Episod
     }
 }
 
-/// Collect one fragment from one lane. The lane's RNG for this iteration
-/// is derived fresh from its coordinates, so this function's effects are
-/// identical wherever (and on whatever thread) it runs.
-fn run_lane(
-    lane: &mut Lane,
-    lane_id: usize,
-    plan: &RolloutPlan<'_>,
-) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-    let mut rng =
-        StdRng::seed_from_u64(stream_seed(plan.base_seed, lane_id as u64, plan.iteration));
-    let mut buffer = RolloutBuffer::new();
-    let mut episodes = Vec::new();
-    for _ in 0..plan.rollout_len {
-        let obs = lane.env.observation();
-        let step = plan.policy.act(&obs, plan.temperature, &mut rng);
-        let mapped = plan.mapper.map(&step.choice);
-        let r = step_env(&mut lane.env, &mapped, plan.reward);
-        lane.episode_reward += r.total;
-        lane.episode_breakdown += r;
-        let done = lane.env.done();
-        buffer.push(RolloutStep {
-            obs,
-            choice: step.choice,
-            log_prob: step.log_prob,
-            value: step.value,
-            reward: r.total as f32,
-            done,
-        });
-        if done {
-            episodes.push(episode_record(&lane.env, lane.episode_breakdown));
-            lane.episode_reward = 0.0;
-            lane.episode_breakdown = RewardBreakdown::default();
-            let seed = rng.gen();
-            lane.env.reset_with_seed(seed);
-        }
+/// Concatenate fragments, already in lane order, into one.
+fn merge(fragments: Vec<Fragment>) -> Fragment {
+    let mut merged = Fragment::default();
+    for (buffer, episodes) in fragments {
+        merged.0.extend(buffer);
+        merged.1.extend(episodes);
     }
-    (buffer, episodes)
+    merged
 }
 
-/// Merge per-lane fragments (already in lane order) into one buffer.
-fn merge(results: Vec<(RolloutBuffer, Vec<EpisodeRecord>)>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-    let mut buffer = RolloutBuffer::new();
-    let mut episodes = Vec::new();
-    for (b, eps) in results {
-        buffer.extend(b);
-        episodes.extend(eps);
-    }
-    (buffer, episodes)
-}
-
-/// The reference schedule: lanes walked in order on the calling thread.
-pub struct SerialRollouts {
-    lanes: Vec<Lane>,
-    cache: Option<Arc<DisplayCache>>,
-}
-
-impl SerialRollouts {
-    /// Build `n_lanes` lanes over `base` seeded from `base_seed`, sharing
-    /// a display cache of the default capacity.
-    pub fn new(base: &DataFrame, env_config: &EnvConfig, n_lanes: usize, base_seed: u64) -> Self {
-        Self::with_cache_capacity(base, env_config, n_lanes, base_seed, DEFAULT_DISPLAY_CACHE)
-    }
-
-    /// Like [`SerialRollouts::new`] with an explicit display-cache capacity
-    /// (0 runs uncached). Capacity is execution-only: it changes speed,
-    /// never transcripts.
-    pub fn with_cache_capacity(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        cache_capacity: usize,
-    ) -> Self {
-        let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
-        Self {
-            lanes: make_lanes(base, env_config, n_lanes, base_seed, cache.as_ref()),
-            cache,
-        }
-    }
-
-    /// The display cache shared by this source's lanes, if enabled.
-    pub fn display_cache(&self) -> Option<&Arc<DisplayCache>> {
-        self.cache.as_ref()
-    }
-}
-
-impl RolloutSource for SerialRollouts {
-    fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-        let results = self
-            .lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(lane_id, lane)| run_lane(lane, lane_id, plan))
-            .collect();
-        merge(results)
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn lane_env_mut(&mut self, lane: usize) -> &mut EdaEnv {
-        &mut self.lanes[lane].env
-    }
-
-    fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
-        if let Some(cache) = &self.cache {
-            cache.reroute_telemetry(&registry);
-        }
-    }
-}
-
-/// The parallel schedule: the same lanes, sharded over a [`Runtime`].
+/// Collect one fragment from every lane of a shard, stepping the lanes in
+/// lockstep through one batched policy forward per environment step.
 ///
-/// Bit-identical to [`SerialRollouts`] at the same seed and lane count —
-/// `run_lane` is coordinate-seeded and the runtime merges shard results
-/// in lane order. Worker count only changes wall-clock time.
-pub struct ParallelRollouts {
-    lanes: Vec<Lane>,
-    runtime: Runtime,
-    telemetry: Arc<MetricsRegistry>,
-    cache: Option<Arc<DisplayCache>>,
-}
-
-impl ParallelRollouts {
-    /// Build `n_lanes` lanes over `base` collected by `workers` threads,
-    /// sharing a display cache of the default capacity.
-    pub fn new(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        workers: usize,
-    ) -> Self {
-        Self::with_cache_capacity(
-            base,
-            env_config,
-            n_lanes,
-            base_seed,
-            workers,
-            DEFAULT_DISPLAY_CACHE,
-        )
-    }
-
-    /// Like [`ParallelRollouts::new`] with an explicit display-cache
-    /// capacity (0 runs uncached). Capacity is execution-only, like the
-    /// worker count: it changes speed, never transcripts.
-    pub fn with_cache_capacity(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> Self {
-        let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
-        Self {
-            lanes: make_lanes(base, env_config, n_lanes, base_seed, cache.as_ref()),
-            runtime: Runtime::new(workers),
-            telemetry: atena_telemetry::global_arc(),
-            cache,
-        }
-    }
-
-    /// The underlying runtime (worker count etc.).
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
-    }
-
-    /// The display cache shared by this source's lanes, if enabled.
-    pub fn display_cache(&self) -> Option<&Arc<DisplayCache>> {
-        self.cache.as_ref()
-    }
-}
-
-impl RolloutSource for ParallelRollouts {
-    fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-        let results = self.runtime.scatter(&mut self.lanes, |lane_id, lane| {
-            run_lane(lane, lane_id, plan)
-        });
-        // Per-worker environment-step throughput, attributed by shard.
-        for (w, range) in self.runtime.shards(results.len()).into_iter().enumerate() {
-            let steps: usize = results[range].iter().map(|(b, _)| b.len()).sum();
-            self.telemetry
-                .counter(&format!("runtime.worker.{w}.steps"))
-                .add(steps as u64);
-        }
-        merge(results)
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn lane_env_mut(&mut self, lane: usize) -> &mut EdaEnv {
-        &mut self.lanes[lane].env
-    }
-
-    fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
-        if let Some(cache) = &self.cache {
-            cache.reroute_telemetry(&registry);
-        }
-        self.telemetry = Arc::clone(&registry);
-        self.runtime = self.runtime.clone().with_telemetry(registry);
-    }
-
-    fn scatter_profile(&self) -> Option<ScatterProfile> {
-        Some(self.runtime.last_profile())
-    }
-}
-
-/// Collect one fragment from every lane of a shard, stepping all lanes
-/// through **one batched policy forward per env step** instead of one
-/// forward per lane per step.
-///
-/// Bit-identical to running [`run_lane`] over the same lanes: each lane
-/// keeps its own counter-seeded RNG and [`crate::PolicyRow::sample`] draws
-/// from it in exactly the order the serial act path would, while the
-/// batched forward itself is row-independent (DESIGN.md §4l). The batch is
-/// purely an execution-schedule choice.
-fn run_shard_batched(
-    lanes: &mut [Lane],
-    first_lane_id: usize,
-    plan: &RolloutPlan<'_>,
-    max_batch: usize,
-    telemetry: &MetricsRegistry,
-) -> Vec<(RolloutBuffer, Vec<EpisodeRecord>)> {
-    let planner = BatchPlanner::new(plan.policy.obs_dim(), max_batch);
-    let mut rngs: Vec<StdRng> = (0..lanes.len())
-        .map(|i| {
-            StdRng::seed_from_u64(stream_seed(
-                plan.base_seed,
-                (first_lane_id + i) as u64,
-                plan.iteration,
-            ))
-        })
+/// Each lane's RNG for this iteration is derived fresh from its
+/// coordinates and draws in the order the lane's own loop would, so this
+/// function's effects do not depend on where the shard starts or ends, or
+/// on which thread runs it.
+fn run_shard(lanes: &mut [Lane], first_lane: usize, plan: &RolloutPlan<'_>) -> Fragment {
+    let planner = BatchPlanner::new(plan.policy.obs_dim(), lanes.len());
+    let mut rngs: Vec<StdRng> = (first_lane..first_lane + lanes.len())
+        .map(|lane| StdRng::seed_from_u64(stream_seed(plan.base_seed, lane as u64, plan.iteration)))
         .collect();
-    let mut buffers: Vec<RolloutBuffer> = (0..lanes.len()).map(|_| RolloutBuffer::new()).collect();
-    let mut episodes: Vec<Vec<EpisodeRecord>> = (0..lanes.len()).map(|_| Vec::new()).collect();
+    let mut fragments: Vec<Fragment> = lanes.iter().map(|_| Fragment::default()).collect();
     for _ in 0..plan.rollout_len {
         let obs: Vec<Vec<f32>> = lanes.iter().map(|l| l.env.observation()).collect();
         let rows = planner.run(&obs, |batch| {
-            telemetry
-                .histogram("batch.occupancy")
-                .record(batch.rows() as f64);
             plan.policy
                 .forward_rows(batch, plan.temperature)
                 .unwrap_or_else(|e| panic!("policy forward failed: {e}"))
         });
-        for (i, ((lane, row), ob)) in lanes.iter_mut().zip(rows).zip(obs).enumerate() {
+        for (i, (row, obs)) in rows.into_iter().zip(obs).enumerate() {
             let step = row.sample(&mut rngs[i]);
-            let mapped = plan.mapper.map(&step.choice);
-            let r = step_env(&mut lane.env, &mapped, plan.reward);
-            lane.episode_reward += r.total;
-            lane.episode_breakdown += r;
-            let done = lane.env.done();
-            buffers[i].push(RolloutStep {
-                obs: ob,
-                choice: step.choice,
-                log_prob: step.log_prob,
-                value: step.value,
-                reward: r.total as f32,
-                done,
-            });
-            if done {
-                episodes[i].push(episode_record(&lane.env, lane.episode_breakdown));
-                lane.episode_reward = 0.0;
-                lane.episode_breakdown = RewardBreakdown::default();
-                let seed = rngs[i].gen();
-                lane.env.reset_with_seed(seed);
-            }
+            lanes[i].advance(obs, step, &mut rngs[i], plan, &mut fragments[i]);
         }
     }
-    buffers.into_iter().zip(episodes).collect()
+    merge(fragments)
 }
 
-/// The lane-batched schedule: all lanes of a shard advance in lockstep,
-/// one `[lanes_in_shard, obs_dim]` policy forward per environment step
-/// (chunked at `max_batch` rows by a [`BatchPlanner`]).
+/// The lane fleet: `n_lanes` lanes sharded over a [`Runtime`], each shard
+/// stepped in lockstep through batched policy forwards.
 ///
-/// Bit-identical to [`SerialRollouts`] at the same seed and lane count,
-/// for any `(workers, max_batch)`: RNG streams are per-lane and
-/// counter-derived, the forward kernels are row-independent, and shard
-/// results merge in lane order. Batch size is execution-only — it changes
-/// steps/sec, never transcripts — and the determinism suite pins this.
-pub struct BatchedRollouts {
+/// The worker count sets the shard size, and with it the batch size. Both
+/// are execution-only: RNG streams are per-lane and counter-derived, the
+/// forward kernels are row-independent, and shards merge in lane order,
+/// so any worker count collects bit-identical transcripts.
+pub struct Rollouts {
     lanes: Vec<Lane>,
     runtime: Runtime,
     telemetry: Arc<MetricsRegistry>,
     cache: Option<Arc<DisplayCache>>,
-    max_batch: usize,
 }
 
-impl BatchedRollouts {
-    /// Build `n_lanes` lanes over `base` collected by `workers` threads
-    /// with at most `max_batch` rows per policy forward, sharing a display
-    /// cache of the default capacity.
+impl Rollouts {
+    /// Build `n_lanes` lanes (at least one) over `base`, seeded from
+    /// `base_seed`, collected by `workers` threads and sharing a display
+    /// cache of `cache_capacity` entries (0 runs uncached). Each lane is a
+    /// cheap fork of one template environment (shared base frame, shared
+    /// action-space construction) with its own counter-derived config seed
+    /// and initial episode seed. Worker count and cache capacity change
+    /// speed, never transcripts.
     pub fn new(
         base: &DataFrame,
         env_config: &EnvConfig,
         n_lanes: usize,
         base_seed: u64,
         workers: usize,
-        max_batch: usize,
-    ) -> Self {
-        Self::with_cache_capacity(
-            base,
-            env_config,
-            n_lanes,
-            base_seed,
-            workers,
-            max_batch,
-            DEFAULT_DISPLAY_CACHE,
-        )
-    }
-
-    /// Like [`BatchedRollouts::new`] with an explicit display-cache
-    /// capacity (0 runs uncached).
-    pub fn with_cache_capacity(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        workers: usize,
-        max_batch: usize,
         cache_capacity: usize,
     ) -> Self {
         let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
+        let mut template_config = env_config.clone();
+        template_config.seed = stream_seed(base_seed, 0, STREAM_ENV);
+        let mut template = EdaEnv::with_shared_base(Arc::new(base.clone()), template_config);
+        if let Some(cache) = &cache {
+            template = template.with_display_cache(Arc::clone(cache));
+        }
+        let lanes = (0..n_lanes.max(1) as u64)
+            .map(|lane| {
+                let mut env = template.fork_with_seed(stream_seed(base_seed, lane, STREAM_ENV));
+                env.reset_with_seed(stream_seed(base_seed, lane, STREAM_INIT));
+                Lane {
+                    env,
+                    breakdown: RewardBreakdown::default(),
+                }
+            })
+            .collect();
         Self {
-            lanes: make_lanes(base, env_config, n_lanes, base_seed, cache.as_ref()),
+            lanes,
             runtime: Runtime::new(workers),
             telemetry: atena_telemetry::global_arc(),
             cache,
-            max_batch: max_batch.max(1),
         }
     }
 
-    /// Maximum rows per batched forward.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The display cache shared by this source's lanes, if enabled.
-    pub fn display_cache(&self) -> Option<&Arc<DisplayCache>> {
-        self.cache.as_ref()
-    }
-}
-
-impl RolloutSource for BatchedRollouts {
-    fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-        let max_batch = self.max_batch;
-        let telemetry = Arc::clone(&self.telemetry);
-        let shard_results = self
+    /// Collect `rollout_len` steps from every lane; fragments merged in
+    /// lane order. Records each worker's environment steps on the
+    /// `runtime.worker.{w}.steps` counters.
+    pub fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
+        let shards = self
             .runtime
-            .scatter_shards(&mut self.lanes, |offset, shard| {
-                run_shard_batched(shard, offset, plan, max_batch, &telemetry)
+            .scatter_shards(&mut self.lanes, |first_lane, lanes| {
+                run_shard(lanes, first_lane, plan)
             });
-        for (w, fragments) in shard_results.iter().enumerate() {
-            let steps: usize = fragments.iter().map(|(b, _)| b.len()).sum();
+        for (w, (buffer, _)) in shards.iter().enumerate() {
             self.telemetry
                 .counter(&format!("runtime.worker.{w}.steps"))
-                .add(steps as u64);
+                .add(buffer.len() as u64);
         }
-        merge(shard_results.into_iter().flatten().collect())
+        merge(shards)
     }
 
-    fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn lane_env_mut(&mut self, lane: usize) -> &mut EdaEnv {
+    /// Mutable access to one lane's environment (evaluation episodes
+    /// borrow lane 0).
+    pub(crate) fn lane_env_mut(&mut self, lane: usize) -> &mut EdaEnv {
         &mut self.lanes[lane].env
     }
 
-    fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
+    /// Reroute the fleet's metrics (worker counters, runtime profile
+    /// telemetry, display-cache counters) to `registry`.
+    pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
         if let Some(cache) = &self.cache {
             cache.reroute_telemetry(&registry);
         }
-        self.telemetry = Arc::clone(&registry);
-        self.runtime = self.runtime.clone().with_telemetry(registry);
+        self.runtime = self.runtime.clone().with_telemetry(Arc::clone(&registry));
+        self.telemetry = registry;
     }
 
-    fn scatter_profile(&self) -> Option<ScatterProfile> {
-        Some(self.runtime.last_profile())
+    /// Timing profile of the most recent `collect` (per-worker busy time,
+    /// merge cost). Read-only observability: feeding it anywhere back into
+    /// collection would break the determinism contract.
+    pub fn scatter_profile(&self) -> ScatterProfile {
+        self.runtime.last_profile()
+    }
+
+    /// The display cache shared by the lanes, if enabled.
+    pub fn display_cache(&self) -> Option<&Arc<DisplayCache>> {
+        self.cache.as_ref()
     }
 }
 
@@ -566,136 +294,110 @@ mod tests {
             .unwrap()
     }
 
-    fn fixture() -> (
-        Arc<TwofoldPolicy>,
-        ActionMapper,
-        Arc<CompoundReward>,
-        EnvConfig,
-    ) {
-        let env_config = EnvConfig {
+    fn env_config() -> EnvConfig {
+        EnvConfig {
             episode_len: 4,
             n_bins: 5,
             history_window: 3,
             seed: 9,
-        };
-        let probe = EdaEnv::new(base(), env_config.clone());
-        let mut rng = StdRng::seed_from_u64(9);
+        }
+    }
+
+    /// The reference schedule: one lane stepped on its own with
+    /// [`Policy::act`], one `[1, obs_dim]` forward per step.
+    fn run_lane(lane: &mut Lane, lane_id: usize, plan: &RolloutPlan<'_>) -> Fragment {
+        let mut rng =
+            StdRng::seed_from_u64(stream_seed(plan.base_seed, lane_id as u64, plan.iteration));
+        let mut fragment = Fragment::default();
+        for _ in 0..plan.rollout_len {
+            let obs = lane.env.observation();
+            let step = plan.policy.act(&obs, plan.temperature, &mut rng);
+            lane.advance(obs, step, &mut rng, plan, &mut fragment);
+        }
+        fragment
+    }
+
+    #[test]
+    fn sharded_batched_rollouts_match_the_per_lane_oracle() {
+        const ITERATIONS: u64 = 3;
+        const ROLLOUT_LEN: usize = 24;
+        let frame = base();
+        let probe = EdaEnv::new(frame.clone(), env_config());
         let policy = TwofoldPolicy::new(
             probe.observation_dim(),
             probe.action_space().head_sizes(),
             TwofoldConfig { hidden: [16, 16] },
-            &mut rng,
+            &mut StdRng::seed_from_u64(9),
         );
         let mut reward =
             CompoundReward::new(CoherencyConfig::with_focal_attrs(vec!["proto".into()]));
-        let mut fit_env = EdaEnv::new(base(), env_config.clone());
-        reward.fit(&mut fit_env, 60, 9);
-        (
-            Arc::new(policy),
-            ActionMapper::Twofold,
-            Arc::new(reward),
-            env_config,
-        )
-    }
-
-    fn collect_with(source: &mut dyn RolloutSource, iterations: u64) -> String {
-        let (policy, mapper, reward, _) = fixture();
-        let mut transcript = String::new();
-        for iteration in 0..iterations {
-            let plan = RolloutPlan {
-                policy: policy.as_ref(),
-                mapper: &mapper,
-                reward: reward.as_ref(),
-                rollout_len: 24,
-                temperature: 1.0,
-                base_seed: 9,
-                iteration,
-            };
-            let (buffer, episodes) = source.collect(&plan);
-            transcript.push_str(&format!("{:?}|{:?}\n", buffer.steps(), episodes));
-        }
-        transcript
-    }
-
-    #[test]
-    fn serial_and_parallel_sources_are_bit_identical() {
-        let (_, _, _, env_config) = fixture();
-        let frame = base();
-        let mut serial = SerialRollouts::new(&frame, &env_config, 4, 9);
-        let reference = collect_with(&mut serial, 3);
-        for workers in [1, 2, 4, 7] {
-            let registry = Arc::new(MetricsRegistry::new());
-            let mut parallel = ParallelRollouts::new(&frame, &env_config, 4, 9, workers);
-            parallel.set_telemetry(Arc::clone(&registry));
-            let transcript = collect_with(&mut parallel, 3);
-            assert_eq!(
-                transcript, reference,
-                "workers={workers} diverged from serial"
-            );
-            let snap = registry.snapshot();
-            let steps: u64 = (0..workers)
-                .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
-                .sum();
-            assert_eq!(steps, 3 * 4 * 24, "workers={workers} step accounting");
-        }
-    }
-
-    #[test]
-    fn batched_source_is_bit_identical_to_serial() {
-        let (_, _, _, env_config) = fixture();
-        let frame = base();
-        let mut serial = SerialRollouts::new(&frame, &env_config, 4, 9);
-        let reference = collect_with(&mut serial, 3);
-        for max_batch in [1, 4, 8] {
-            for workers in [1, 4] {
-                let registry = Arc::new(MetricsRegistry::new());
-                let mut batched =
-                    BatchedRollouts::new(&frame, &env_config, 4, 9, workers, max_batch);
-                batched.set_telemetry(Arc::clone(&registry));
-                let transcript = collect_with(&mut batched, 3);
-                assert_eq!(
-                    transcript, reference,
-                    "batch={max_batch} workers={workers} diverged from serial"
-                );
-                let snap = registry.snapshot();
-                let steps: u64 = (0..workers)
-                    .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
-                    .sum();
-                assert_eq!(
-                    steps,
-                    3 * 4 * 24,
-                    "batch={max_batch} workers={workers} step accounting"
-                );
-                let occ = snap
-                    .histogram("batch.occupancy")
-                    .expect("occupancy recorded");
-                assert!(occ.count > 0, "no occupancy samples");
-                let lanes_per_shard = 4usize.div_ceil(workers.min(4));
-                let expect_max = lanes_per_shard.min(max_batch) as f64;
-                assert_eq!(
-                    occ.max, expect_max,
-                    "batch={max_batch} workers={workers} occupancy"
-                );
+        reward.fit(&mut EdaEnv::new(frame.clone(), env_config()), 60, 9);
+        let mapper = ActionMapper::Twofold;
+        let transcript = |collect: &mut dyn FnMut(&RolloutPlan<'_>) -> Fragment| {
+            let mut out = String::new();
+            for iteration in 0..ITERATIONS {
+                let plan = RolloutPlan {
+                    policy: &policy,
+                    mapper: &mapper,
+                    reward: &reward,
+                    rollout_len: ROLLOUT_LEN,
+                    temperature: 1.0,
+                    base_seed: 9,
+                    iteration,
+                };
+                let (buffer, episodes) = collect(&plan);
+                out.push_str(&format!("{:?}|{:?}\n", buffer.steps(), episodes));
+            }
+            out
+        };
+        // Workers 3 over 4 lanes and 7 over 8 give uneven shards (batches
+        // of 2, 1, 1 and 2, 1, ..., 1); workers above the lane count clamp.
+        for lanes in [1, 3, 4, 8] {
+            for cache in [0, 1024] {
+                let mut oracle = Rollouts::new(&frame, &env_config(), lanes, 9, 1, cache);
+                let reference = transcript(&mut |plan| {
+                    let fragments = oracle
+                        .lanes
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(lane_id, lane)| run_lane(lane, lane_id, plan))
+                        .collect();
+                    merge(fragments)
+                });
+                for workers in [1, 2, 3, 4, 7] {
+                    let registry = Arc::new(MetricsRegistry::new());
+                    let mut source = Rollouts::new(&frame, &env_config(), lanes, 9, workers, cache);
+                    source.set_telemetry(Arc::clone(&registry));
+                    assert_eq!(source.display_cache().is_some(), cache > 0);
+                    let label = format!("workers={workers} lanes={lanes} cache={cache}");
+                    assert_eq!(
+                        transcript(&mut |plan| source.collect(plan)),
+                        reference,
+                        "{label} diverged from the per-lane oracle"
+                    );
+                    let snap = registry.snapshot();
+                    let steps: u64 = (0..workers)
+                        .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
+                        .sum();
+                    assert_eq!(
+                        steps,
+                        (lanes * ROLLOUT_LEN) as u64 * ITERATIONS,
+                        "{label} step accounting"
+                    );
+                    assert_eq!(
+                        source.scatter_profile().workers.len(),
+                        workers.min(lanes),
+                        "{label} shard count"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn batched_source_with_cache_off_matches_serial() {
-        let (_, _, _, env_config) = fixture();
-        let frame = base();
-        let mut serial = SerialRollouts::with_cache_capacity(&frame, &env_config, 4, 9, 0);
-        let reference = collect_with(&mut serial, 2);
-        let mut batched = BatchedRollouts::with_cache_capacity(&frame, &env_config, 4, 9, 2, 4, 0);
-        assert!(batched.display_cache().is_none());
-        assert_eq!(collect_with(&mut batched, 2), reference);
-    }
-
-    #[test]
     fn lane_fleet_shares_one_base_frame() {
-        let (_, _, _, env_config) = fixture();
-        let source = SerialRollouts::new(&base(), &env_config, 6, 1);
-        assert_eq!(source.n_lanes(), 6);
+        let source = Rollouts::new(&base(), &env_config(), 6, 1, 1, DEFAULT_DISPLAY_CACHE);
+        assert_eq!(source.lanes.len(), 6);
         // All lanes observe the same dataset through the same Arc.
         let rows = source.lanes[0].env.base().n_rows();
         for lane in &source.lanes {

@@ -1,17 +1,15 @@
-//! The training loop: a deterministic rollout source (serial or sharded
-//! over the `atena-runtime` worker pool — see DESIGN.md §4h) feeding the
-//! PPO learner, with mean-episode-reward tracking for the convergence
-//! experiments (Figure 5) and best-episode extraction for notebook
-//! generation. Worker count changes wall-clock speed only: at a fixed
-//! seed the `TrainLog` is bit-identical for any `n_workers`.
+//! The training loop: a deterministic lane fleet (sharded over the
+//! `atena-runtime` worker pool, each shard batched through one policy
+//! forward per step — see DESIGN.md §4h, §4l) feeding the PPO learner,
+//! with mean-episode-reward tracking for the convergence experiments
+//! (Figure 5) and best-episode extraction for notebook generation. Worker
+//! count changes wall-clock speed only: at a fixed seed the `TrainLog` is
+//! bit-identical for any `n_workers`.
 
 use crate::policy::{ActionMapper, Policy};
 use crate::ppo::{PpoConfig, PpoLearner, UpdateStats};
 use crate::rollout::RolloutBuffer;
-use crate::source::{
-    episode_record, step_env, BatchedRollouts, ParallelRollouts, RolloutPlan, RolloutSource,
-    SerialRollouts,
-};
+use crate::source::{episode_record, step_env, RolloutPlan, Rollouts};
 use atena_dataframe::DataFrame;
 use atena_env::{EnvConfig, ResolvedOp, RewardBreakdown, RewardModel};
 use atena_runtime::{stream_seed, STREAM_EVAL};
@@ -32,9 +30,11 @@ pub struct TrainerConfig {
     /// iteration). Part of the result: changing it changes the data the
     /// learner sees, like changing `rollout_len`.
     pub n_lanes: usize,
-    /// Number of rollout threads. Execution-only: any value produces
-    /// bit-identical results at the same seed (the determinism contract,
-    /// DESIGN.md §4h); more threads only collect the same lanes faster.
+    /// Number of rollout threads. The lanes are sharded over them, and
+    /// each shard steps its lanes through one batched policy forward per
+    /// env step, so the shard size is also the batch size. Execution-only:
+    /// any value produces bit-identical results at the same seed (the
+    /// determinism contract, DESIGN.md §4h, §4l).
     pub n_workers: usize,
     /// Capacity of the display cache shared across the lane fleet (0
     /// disables it). Execution-only, like `n_workers`: the cache is pure
@@ -51,13 +51,6 @@ pub struct TrainerConfig {
     pub eval_window: usize,
     /// Master seed.
     pub seed: u64,
-    /// Rows per batched policy forward during rollouts. `0` (the default)
-    /// keeps the per-lane serial/parallel sources; `>= 1` selects the
-    /// lane-batched source, stepping each shard's lanes through one
-    /// `[lanes, obs_dim]` forward per env step, chunked at this size.
-    /// Execution-only, like `n_workers`: any value produces bit-identical
-    /// results at the same seed (DESIGN.md §4l).
-    pub batch_lanes: usize,
 }
 
 impl Default for TrainerConfig {
@@ -72,7 +65,6 @@ impl Default for TrainerConfig {
             temperature_final: 1.0,
             eval_window: 20,
             seed: 0,
-            batch_lanes: 0,
         }
     }
 }
@@ -130,7 +122,7 @@ pub struct Trainer {
     reward: Arc<dyn RewardModel>,
     learner: PpoLearner,
     config: TrainerConfig,
-    source: Box<dyn RolloutSource>,
+    source: Rollouts,
     rng: StdRng,
     eval_rng: StdRng,
     recent_episodes: Vec<f64>,
@@ -143,9 +135,9 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Create a trainer. The lane fleet shares one copy of the dataset;
-    /// `config.n_workers` picks the serial or parallel rollout source
-    /// (which, per the determinism contract, does not affect results).
+    /// Create a trainer. The lane fleet shares one copy of the dataset and
+    /// is sharded over `config.n_workers` threads (which, per the
+    /// determinism contract, does not affect results).
     pub fn new(
         policy: Arc<dyn Policy>,
         mapper: ActionMapper,
@@ -155,35 +147,14 @@ impl Trainer {
         config: TrainerConfig,
     ) -> Self {
         let learner = PpoLearner::new(policy.as_ref(), config.ppo);
-        let n_lanes = config.n_lanes.max(1);
-        let source: Box<dyn RolloutSource> = if config.batch_lanes > 0 {
-            Box::new(BatchedRollouts::with_cache_capacity(
-                base,
-                &env_config,
-                n_lanes,
-                config.seed,
-                config.n_workers.max(1),
-                config.batch_lanes,
-                config.display_cache,
-            ))
-        } else if config.n_workers <= 1 {
-            Box::new(SerialRollouts::with_cache_capacity(
-                base,
-                &env_config,
-                n_lanes,
-                config.seed,
-                config.display_cache,
-            ))
-        } else {
-            Box::new(ParallelRollouts::with_cache_capacity(
-                base,
-                &env_config,
-                n_lanes,
-                config.seed,
-                config.n_workers,
-                config.display_cache,
-            ))
-        };
+        let source = Rollouts::new(
+            base,
+            &env_config,
+            config.n_lanes,
+            config.seed,
+            config.n_workers,
+            config.display_cache,
+        );
         Self {
             policy,
             mapper,
@@ -247,17 +218,16 @@ impl Trainer {
                 // Worker busy times were measured on the rollout threads;
                 // attach them post-hoc under the collect span. Their sum can
                 // exceed the collect wall time — they ran in parallel.
-                if let Some(profile) = self.source.scatter_profile() {
-                    for (w, wp) in profile.workers.iter().enumerate() {
-                        trace.record_exact(
-                            collect_id,
-                            "rollout.worker",
-                            wp.busy_secs,
-                            vec![("worker", w.to_string()), ("lanes", wp.items.to_string())],
-                        );
-                    }
-                    trace.record_exact(collect_id, "rollout.merge", profile.merge_secs, vec![]);
+                let profile = self.source.scatter_profile();
+                for (w, wp) in profile.workers.iter().enumerate() {
+                    trace.record_exact(
+                        collect_id,
+                        "rollout.worker",
+                        wp.busy_secs,
+                        vec![("worker", w.to_string()), ("lanes", wp.items.to_string())],
+                    );
                 }
+                trace.record_exact(collect_id, "rollout.merge", profile.merge_secs, vec![]);
             }
             let iter_steps = buffer.len();
             self.total_steps += iter_steps;
@@ -400,7 +370,7 @@ impl Trainer {
         t.emit("episode", "reward.total", b.total, labels);
     }
 
-    /// Collect one iteration of rollouts from the source.
+    /// Collect one iteration of rollouts from the lane fleet.
     fn collect_rollouts(&mut self, temperature: f32) -> (RolloutBuffer, Vec<EpisodeRecord>) {
         let plan = RolloutPlan {
             policy: self.policy.as_ref(),
@@ -467,10 +437,6 @@ mod tests {
     }
 
     fn make_trainer(n_workers: usize, seed: u64) -> Trainer {
-        make_trainer_batched(n_workers, 0, seed)
-    }
-
-    fn make_trainer_batched(n_workers: usize, batch_lanes: usize, seed: u64) -> Trainer {
         let env_config = EnvConfig {
             episode_len: 6,
             n_bins: 5,
@@ -497,7 +463,6 @@ mod tests {
             TrainerConfig {
                 n_lanes: 2,
                 n_workers,
-                batch_lanes,
                 rollout_len: 48,
                 eval_window: 10,
                 seed,
@@ -556,31 +521,15 @@ mod tests {
     fn worker_count_does_not_change_results() {
         // The determinism contract at trainer level: the full TrainLog —
         // curve, counters, best episode, final update diagnostics — is
-        // bit-identical across worker counts at a fixed seed.
+        // bit-identical across worker counts, and so across the batch
+        // sizes they shard the lanes into, at a fixed seed.
         let run = |n_workers| {
             let mut t = make_trainer(n_workers, 11);
             format!("{:?}", t.train(192))
         };
-        let serial = run(1);
-        assert_eq!(run(2), serial);
-        assert_eq!(run(4), serial);
-    }
-
-    #[test]
-    fn batch_lanes_does_not_change_results() {
-        // Lane batching joins the determinism contract: the full TrainLog
-        // is bit-identical across batch sizes and worker counts.
-        let serial = {
-            let mut t = make_trainer(1, 11);
-            format!("{:?}", t.train(192))
-        };
-        for (batch_lanes, n_workers) in [(1, 1), (2, 1), (8, 1), (2, 4), (8, 4)] {
-            let mut t = make_trainer_batched(n_workers, batch_lanes, 11);
-            assert_eq!(
-                format!("{:?}", t.train(192)),
-                serial,
-                "batch_lanes={batch_lanes} workers={n_workers} diverged"
-            );
+        let reference = run(1);
+        for n_workers in [2, 3, 4] {
+            assert_eq!(run(n_workers), reference, "workers={n_workers} diverged");
         }
     }
 

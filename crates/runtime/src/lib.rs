@@ -40,7 +40,7 @@ pub struct WorkerProfile {
     pub busy_secs: f64,
 }
 
-/// Timing profile of a [`Runtime::scatter`] call: exact per-worker busy
+/// Timing profile of a scatter call: exact per-worker busy
 /// times plus the fixed-order merge cost. Consumers (the trainer's span
 /// emission, bench reports) read it *after* the scatter returns, so the
 /// profile never feeds back into scheduling or results — it is
@@ -49,7 +49,7 @@ pub struct WorkerProfile {
 pub struct ScatterProfile {
     /// Per-worker timings, indexed by worker (= shard) id.
     pub workers: Vec<WorkerProfile>,
-    /// Seconds spent concatenating fragments in item order.
+    /// Seconds spent collecting the workers' fragments in shard order.
     pub merge_secs: f64,
 }
 
@@ -139,7 +139,7 @@ impl Runtime {
         }
     }
 
-    /// Timing profile of the most recent [`Runtime::scatter`] call (empty
+    /// Timing profile of the most recent scatter call (empty
     /// `workers` before the first call). Clones of a runtime share one
     /// profile slot.
     pub fn last_profile(&self) -> ScatterProfile {
@@ -197,86 +197,25 @@ impl Runtime {
         R: Send,
         F: Fn(usize, &mut T) -> R + Sync,
     {
-        let shards = self.shards(items.len());
-        self.telemetry
-            .gauge("runtime.workers")
-            .set(self.workers as f64);
-        self.telemetry.counter("runtime.scatter.calls").inc();
-        if shards.len() <= 1 {
-            let busy = Instant::now();
-            let out: Vec<R> = items
+        self.scatter_shards(items, |offset, shard| {
+            shard
                 .iter_mut()
                 .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-            let busy_secs = busy.elapsed().as_secs_f64();
-            self.record_worker(0, out.len(), busy_secs);
-            self.telemetry.histogram("runtime.merge_secs").record(0.0);
-            *self.profile.lock().expect("runtime profile poisoned") = ScatterProfile {
-                workers: vec![WorkerProfile {
-                    items: out.len(),
-                    busy_secs,
-                }],
-                merge_secs: 0.0,
-            };
-            return out;
-        }
-
-        let mut results: Vec<R> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest = items;
-            let mut handles = Vec::with_capacity(shards.len());
-            for range in &shards {
-                let (shard, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let offset = range.start;
-                handles.push(scope.spawn(move || {
-                    let busy = Instant::now();
-                    let out: Vec<R> = shard
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(j, item)| f(offset + j, item))
-                        .collect();
-                    (out, busy.elapsed().as_secs_f64())
-                }));
-            }
-            // Joining in spawn order is the fixed-order merge: worker w's
-            // fragment always lands at shard w's offsets, so the
-            // concatenation below is item-ordered by construction.
-            let fragments: Vec<(Vec<R>, f64)> = handles
-                .into_iter()
-                .map(|h| h.join().expect("runtime worker panicked"))
-                .collect();
-            let merge = Instant::now();
-            let mut worker_profiles = Vec::with_capacity(fragments.len());
-            for (w, (fragment, busy_secs)) in fragments.into_iter().enumerate() {
-                self.record_worker(w, fragment.len(), busy_secs);
-                worker_profiles.push(WorkerProfile {
-                    items: fragment.len(),
-                    busy_secs,
-                });
-                results.extend(fragment);
-            }
-            let merge_secs = merge.elapsed().as_secs_f64();
-            self.telemetry
-                .histogram("runtime.merge_secs")
-                .record(merge_secs);
-            *self.profile.lock().expect("runtime profile poisoned") = ScatterProfile {
-                workers: worker_profiles,
-                merge_secs,
-            };
-        });
-        results
+                .map(|(j, item)| f(offset + j, item))
+                .collect::<Vec<R>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Apply `f` once per shard — `f(shard_start, shard_slice)` — and
     /// return the per-shard results **in shard order**.
     ///
-    /// Where [`Runtime::scatter`] hands a worker one item at a time, this
-    /// hands it its whole contiguous slice, letting the callee process the
-    /// shard collectively (the lane-batched rollout source steps all lanes
-    /// of a shard through one batched forward per env step). The split is
+    /// Where [`Runtime::scatter`] hands `f` one item at a time, this hands
+    /// it a worker's whole contiguous slice, letting the callee process the
+    /// shard collectively (the rollout fleet steps all lanes of a shard
+    /// through one batched forward per env step). The split is
     /// [`Runtime::shards`], so which items a shard covers — and therefore
     /// the result layout — depends only on `(items.len(), workers)`, never
     /// on scheduling.
