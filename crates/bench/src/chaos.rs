@@ -23,15 +23,13 @@
 //! `/v1/metrics` for the `server.mem.rss_bytes` gauge (flat-memory
 //! assertion), monotone counters, and advancing eviction counters.
 //!
-//! The `chaos` binary wires this module to a self-hosted server from a
-//! checkpoint and persists `BENCH_chaos.json`.
+//! `tests/chaos_harness.rs` self-hosts a server and runs the matrix, with
+//! a background good client, and a soak against it.
 
-use crate::quantile;
-use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Grace added to the server's per-request deadline when asserting that
@@ -78,16 +76,15 @@ impl ChaosTarget {
     }
 
     /// One good-client exchange: must be a 200 whose body is
-    /// byte-identical to the offline decode. Returns the latency.
-    pub fn good_shot(&self) -> Result<Duration, String> {
-        let started = Instant::now();
+    /// byte-identical to the offline decode.
+    pub fn good_shot(&self) -> Result<(), String> {
         let mut stream = connect(&self.addr, CLIENT_READ_TIMEOUT)?;
         let raw = self.notebook_raw(None);
         stream.write_all(&raw).map_err(|e| format!("write: {e}"))?;
         match read_outcome(&mut stream) {
             Observed::Status { code: 200, body } => {
                 if body == self.expected_body {
-                    Ok(started.elapsed())
+                    Ok(())
                 } else {
                     Err(format!(
                         "response diverged from offline decode ({} vs {} bytes)",
@@ -208,9 +205,11 @@ pub fn read_outcome(stream: &mut TcpStream) -> Observed {
 }
 
 /// Parse a complete `head + Content-Length body` response out of `buf`.
+/// The body is decoded only once all of its bytes are in, so a read that
+/// ends inside a multi-byte character means "keep reading".
 pub fn try_parse_response(buf: &[u8]) -> Option<(u16, String)> {
-    let text = String::from_utf8_lossy(buf);
-    let (head, rest) = text.split_once("\r\n\r\n")?;
+    let head_len = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = String::from_utf8_lossy(&buf[..head_len]);
     let mut lines = head.split("\r\n");
     let code: u16 = lines.next()?.split(' ').nth(1)?.parse().ok()?;
     let len: usize = lines
@@ -218,10 +217,8 @@ pub fn try_parse_response(buf: &[u8]) -> Option<(u16, String)> {
         .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
         .and_then(|(_, v)| v.trim().parse().ok())
         .unwrap_or(0);
-    if rest.len() < len {
-        return None;
-    }
-    Some((code, rest[..len].to_string()))
+    let body = buf.get(head_len + 4..head_len + 4 + len)?;
+    Some((code, String::from_utf8_lossy(body).into_owned()))
 }
 
 // ---- scenarios ---------------------------------------------------------
@@ -255,7 +252,7 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Stable scenario name for reports and the BENCH artifact.
+    /// Stable scenario name for reports.
     pub fn name(&self) -> &'static str {
         match self {
             Scenario::SlowLorisHeaders { .. } => "slow_loris_headers",
@@ -344,8 +341,8 @@ pub fn scenario_matrix(target: &ChaosTarget) -> Vec<Scenario> {
     ]
 }
 
-/// One scenario's verdict, as persisted in `BENCH_chaos.json`.
-#[derive(Debug, Clone, Serialize)]
+/// One scenario's verdict.
+#[derive(Debug, Clone)]
 pub struct ScenarioReport {
     pub scenario: String,
     pub expected: String,
@@ -629,93 +626,6 @@ fn dribble_until_cut(
     Observed::Transport("dribble source exhausted before the server reacted".into())
 }
 
-// ---- good-client latency under attack ----------------------------------
-
-/// Latency quantiles of a set of good-client exchanges.
-#[derive(Debug, Clone, Serialize)]
-pub struct LatencySummary {
-    pub requests: usize,
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    pub p99_ms: f64,
-}
-
-/// Summarize (and sort) a latency sample.
-pub fn latency_summary(latencies: &mut Vec<Duration>) -> LatencySummary {
-    latencies.sort();
-    let mean_ms = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().map(Duration::as_secs_f64).sum::<f64>() * 1e3 / latencies.len() as f64
-    };
-    LatencySummary {
-        requests: latencies.len(),
-        mean_ms,
-        p50_ms: quantile(latencies, 0.50).as_secs_f64() * 1e3,
-        p95_ms: quantile(latencies, 0.95).as_secs_f64() * 1e3,
-        p99_ms: quantile(latencies, 0.99).as_secs_f64() * 1e3,
-    }
-}
-
-/// A background good-traffic loop: byte-identity-checked requests until
-/// [`GoodTraffic::stop`], collecting latencies and divergences.
-pub struct GoodTraffic {
-    stop: Arc<AtomicBool>,
-    divergences: Arc<AtomicUsize>,
-    latencies: Arc<Mutex<Vec<Duration>>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl GoodTraffic {
-    /// Start the loop against `target`, pausing `pace` between shots.
-    pub fn start(target: ChaosTarget, pace: Duration) -> GoodTraffic {
-        let stop = Arc::new(AtomicBool::new(false));
-        let divergences = Arc::new(AtomicUsize::new(0));
-        let latencies = Arc::new(Mutex::new(Vec::new()));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let divergences = Arc::clone(&divergences);
-            let latencies = Arc::clone(&latencies);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    match target.good_shot() {
-                        Ok(latency) => latencies
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(latency),
-                        Err(_) => {
-                            divergences.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                    std::thread::sleep(pace);
-                }
-            })
-        };
-        GoodTraffic {
-            stop,
-            divergences,
-            latencies,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stop the loop; returns `(latencies, failed_or_divergent_shots)`.
-    pub fn stop(mut self) -> (Vec<Duration>, usize) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        let latencies = std::mem::take(
-            &mut *self
-                .latencies
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        (latencies, self.divergences.load(Ordering::SeqCst))
-    }
-}
-
 // ---- soak --------------------------------------------------------------
 
 /// Soak-run knobs.
@@ -735,9 +645,8 @@ pub struct SoakOptions {
     pub sample_every: Duration,
 }
 
-/// What the soak run measured, persisted under `soak` in
-/// `BENCH_chaos.json`.
-#[derive(Debug, Clone, Serialize)]
+/// What the soak run measured.
+#[derive(Debug, Clone)]
 pub struct SoakReport {
     pub duration_secs: f64,
     pub good_requests: usize,
@@ -995,6 +904,20 @@ mod tests {
             try_parse_response(b"HTTP/1.1 204 No Content\r\n\r\n"),
             Some((204, String::new()))
         );
+        // A read that ends inside a multi-byte character is an incomplete
+        // body, not a replacement character or a char-boundary panic.
+        assert_eq!(
+            try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\na\xC3"),
+            None
+        );
+        assert_eq!(
+            try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab\xE2\x82"),
+            None
+        );
+        assert_eq!(
+            try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab\xE2\x82\xAC"),
+            Some((200, "ab\u{20AC}".to_string()))
+        );
     }
 
     #[test]
@@ -1125,19 +1048,5 @@ mod tests {
             fast,
             &target
         ));
-    }
-
-    #[test]
-    fn quantiles_and_summary() {
-        let mut lat: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let summary = latency_summary(&mut lat);
-        assert_eq!(summary.requests, 100);
-        assert!((summary.p50_ms - 50.0).abs() <= 1.0);
-        assert!((summary.p99_ms - 99.0).abs() <= 1.0);
-        assert!(summary.mean_ms > 49.0 && summary.mean_ms < 52.0);
-        let mut empty = Vec::new();
-        let summary = latency_summary(&mut empty);
-        assert_eq!(summary.requests, 0);
-        assert_eq!(summary.p99_ms, 0.0);
     }
 }

@@ -19,7 +19,6 @@ use atena_rl::TrainerConfig;
 use serde::Serialize;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Every system the experiments compare: the six generation strategies plus
 /// the two human-derived baselines.
@@ -202,32 +201,6 @@ pub fn dump_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf
             .as_bytes(),
     )?;
     Ok(path)
-}
-
-/// Write a JSON record to an explicit path (the `--bench-out` flag of the
-/// driver binaries), creating parent directories as needed.
-pub fn dump_json_to<T: Serialize>(path: &std::path::Path, value: &T) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(
-        serde_json::to_string_pretty(value)
-            .expect("serializable")
-            .as_bytes(),
-    )?;
-    file.write_all(b"\n")
-}
-
-/// Nearest-rank quantile over a sorted slice (zero when empty).
-pub fn quantile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Format a float with 2 decimals.

@@ -1,15 +1,21 @@
 //! Integration test for the chaos harness itself: train a tiny policy,
-//! self-host a server the way the `chaos` binary does, run the full
-//! byzantine scenario matrix (every typed outcome must hold), then a
-//! short CI-sized soak asserting flat RSS, zero transcript divergence,
-//! monotone counters, and registry evictions at capacity.
+//! self-host a server, run the full byzantine scenario matrix (every
+//! typed outcome must hold) while a background good client keeps
+//! checking byte-identity, then a short CI-sized soak asserting flat
+//! RSS, zero transcript divergence, monotone counters, and registry
+//! evictions at capacity.
 //!
 //! The soak length defaults to 8 s; set `ATENA_SOAK_SECS` to stretch it
-//! for longer local runs.
+//! for longer runs:
+//!
+//! ```text
+//! ATENA_SOAK_SECS=60 cargo test --release -p atena-bench --test chaos_harness
+//! ```
 
 use atena_bench::chaos::{run_scenario, run_soak, scenario_matrix, ChaosTarget, SoakOptions};
 use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
 use atena_dataframe::{AttrRole, DataFrame};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,6 +43,40 @@ fn tiny_bundle() -> PolicyBundle {
     train_policy_bundle("tiny", base(), vec![], config, Strategy::Atena).unwrap()
 }
 
+/// A background good client: byte-identity-checked requests, one per
+/// `pace`, until [`GoodTraffic::stop`].
+struct GoodTraffic {
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<(usize, usize)>,
+}
+
+impl GoodTraffic {
+    fn start(target: ChaosTarget, pace: Duration) -> GoodTraffic {
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let (mut identical, mut divergences) = (0, 0);
+                while !stop.load(Ordering::SeqCst) {
+                    match target.good_shot() {
+                        Ok(()) => identical += 1,
+                        Err(_) => divergences += 1,
+                    }
+                    std::thread::sleep(pace);
+                }
+                (identical, divergences)
+            })
+        };
+        GoodTraffic { stop, thread }
+    }
+
+    /// Stop the loop; returns `(identical_responses, failed_or_divergent)`.
+    fn stop(self) -> (usize, usize) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.thread.join().expect("good client thread")
+    }
+}
+
 #[test]
 fn scenario_matrix_and_soak_smoke_against_live_server() {
     let bundle = tiny_bundle();
@@ -61,8 +101,8 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
         })
         .collect();
 
-    // Mirror the chaos binary's hostile-friendly config: short deadline,
-    // microbatching on, tiny registry budget, tight admission.
+    // A hostile-friendly config: short deadline, microbatching on, tiny
+    // registry budget, tight admission.
     let request_timeout = Duration::from_millis(700);
     let config = atena_server::ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -104,15 +144,19 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
 
     // 1. Every scenario in the matrix must hit its typed expectation,
     //    leave the server healthy, and leave good responses
-    //    byte-identical to the offline decode.
+    //    byte-identical to the offline decode — both right after each
+    //    attack and from a good client running through all of them.
+    let good = GoodTraffic::start(target.clone(), Duration::from_millis(10));
     for scenario in scenario_matrix(&target) {
         let report = run_scenario(&target, &scenario);
-        assert!(
-            report.pass,
-            "{}: expected [{}], observed [{}] (probe_ok={}, good_shot_ok={})",
-            report.scenario, report.expected, report.observed, report.probe_ok, report.good_shot_ok
-        );
+        assert!(report.pass, "{report:?}");
     }
+    let (identical, divergences) = good.stop();
+    assert_eq!(divergences, 0, "good client diverged under attack");
+    assert!(
+        identical > 0,
+        "good client completed no request under attack"
+    );
 
     // 2. CI-sized soak: mixed good/byzantine traffic with the registry
     //    churning at capacity. Flat memory, monotone counters, zero
@@ -135,7 +179,7 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
             sample_every: Duration::from_millis(500),
         },
     );
-    assert!(report.pass, "soak failures: {:?}", report.failures);
+    assert!(report.pass, "soak failed: {report:?}");
     assert_eq!(report.divergences, 0);
     assert!(report.good_requests > 0);
     assert!(report.byzantine_shots > 0);

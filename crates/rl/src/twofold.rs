@@ -90,8 +90,8 @@ impl TwofoldPolicy {
     /// tape. This is the oracle the tensor-path [`Policy::act`] /
     /// [`Policy::forward_rows`] must reproduce bit for bit (same
     /// probabilities, same RNG draws, same log-prob and value), and the
-    /// perf baseline the batched-inference benchmarks report speedups
-    /// against (DESIGN.md §4l).
+    /// perf baseline of the batched engine's release-only speedup test
+    /// (`crates/bench/tests/batched_decode.rs`, DESIGN.md §4l).
     pub fn act_via_graph(
         &self,
         obs: &[f32],

@@ -4,79 +4,27 @@
 //! deadline (not one-byte-per-tick forever), and a client vanishing
 //! mid-microbatch costs nobody else a byte of their response.
 
-use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
-use atena_dataframe::{AttrRole, DataFrame};
 use atena_server::{Engine, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn base() -> DataFrame {
-    DataFrame::builder()
-        .str(
-            "proto",
-            AttrRole::Categorical,
-            (0..60).map(|i| Some(if i % 5 == 0 { "udp" } else { "tcp" })),
-        )
-        .int(
-            "len",
-            AttrRole::Numeric,
-            (0..60).map(|i| Some((i * 13 % 31) as i64)),
-        )
-        .build()
-        .unwrap()
-}
+mod common;
 
-fn tiny_bundle() -> PolicyBundle {
-    let mut config = AtenaConfig::quick();
-    config.train_steps = 300;
-    config.probe_steps = 60;
-    config.env.episode_len = 4;
-    train_policy_bundle("tiny", base(), vec![], config, Strategy::Atena).unwrap()
-}
-
-/// Read one response off the stream; `None` if the server closed (or
-/// reset) without completing one.
-fn read_response(stream: &mut TcpStream) -> Option<(u16, String)> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(parsed) = try_parse(&buf) {
-            return Some(parsed);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return try_parse(&buf),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-}
-
-fn try_parse(buf: &[u8]) -> Option<(u16, String)> {
-    let text = String::from_utf8_lossy(buf);
-    let (head, rest) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split("\r\n").next()?.split(' ').nth(1)?.parse().ok()?;
-    let len: usize = head
-        .split("\r\n")
-        .filter_map(|l| l.split_once(':'))
-        .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0);
-    if rest.len() < len {
-        return None;
-    }
-    Some((status, rest[..len].to_string()))
-}
+use common::{base, read_response, tiny_bundle, Response};
 
 /// Write a raw frame (tolerating an answer-and-reset cutoff mid-write)
-/// and read back whatever the server produced.
+/// and read back `(status, body)` — `None` if the server closed (or
+/// reset) without completing a response.
 fn exchange(addr: SocketAddr, raw: &[u8]) -> Option<(u16, String)> {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
     let _ = stream.write_all(raw);
-    read_response(&mut stream)
+    let (status, _, body) = read_response(&mut stream).ok()?;
+    Some((status, body))
 }
 
 fn spawn_server(
@@ -194,11 +142,11 @@ fn byzantine_frames_exact_statuses_and_counter_deltas() {
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n%%% garbage %%%\r\n\r\n")
             .unwrap();
-        let (status, _) = read_response(&mut stream).expect("pipelined good request answered");
+        let (status, _, _) = read_response(&mut stream).expect("pipelined good request answered");
         assert_eq!(status, 200);
         let second = read_response(&mut stream);
         assert!(
-            matches!(second, Some((400, _)) | None),
+            matches!(second, Ok((400, _, _)) | Err(_)),
             "pipelined garbage must 400 or close, got {second:?}"
         );
         let after = telemetry.snapshot();
@@ -376,15 +324,14 @@ fn follower_disconnect_mid_batch_leaves_other_responses_byte_identical() {
             })
         })
         .collect();
-    let results: Vec<Option<(u16, String)>> =
-        clients.into_iter().map(|c| c.join().unwrap()).collect();
+    let results: Vec<Option<Response>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
     for (i, result) in results.iter().enumerate() {
         let seed = seeds[i];
         if seed == victim_seed {
             assert!(result.is_none());
             continue;
         }
-        let (status, body) = result.as_ref().unwrap();
+        let (status, _, body) = result.as_ref().unwrap();
         assert_eq!(*status, 200, "seed {seed}: {body}");
         assert_eq!(
             body, &reference[i],

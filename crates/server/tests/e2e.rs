@@ -4,41 +4,21 @@
 //! check response identity, cache behaviour, metrics, and graceful
 //! shutdown.
 
-use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
-use atena_dataframe::{AttrRole, DataFrame};
+use atena_core::PolicyBundle;
+use atena_dataframe::DataFrame;
 use atena_registry::{dataset_id_for_fingerprint, RegistryConfig, TenantLimits};
 use atena_server::{Engine, Server, ServerConfig};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn base() -> DataFrame {
-    DataFrame::builder()
-        .str(
-            "proto",
-            AttrRole::Categorical,
-            (0..60).map(|i| Some(if i % 5 == 0 { "udp" } else { "tcp" })),
-        )
-        .int(
-            "len",
-            AttrRole::Numeric,
-            (0..60).map(|i| Some((i * 13 % 31) as i64)),
-        )
-        .build()
-        .unwrap()
-}
+mod common;
 
-fn tiny_bundle() -> PolicyBundle {
-    let mut config = AtenaConfig::quick();
-    config.train_steps = 300;
-    config.probe_steps = 60;
-    config.env.episode_len = 4;
-    train_policy_bundle("tiny", base(), vec![], config, Strategy::Atena).unwrap()
-}
+use common::{base, read_response, tiny_bundle, Response};
 
 /// One blocking HTTP exchange on a fresh connection.
-fn http_request(addr: SocketAddr, raw: &str) -> (u16, Vec<(String, String)>, String) {
+fn http_request(addr: SocketAddr, raw: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -46,59 +26,10 @@ fn http_request(addr: SocketAddr, raw: &str) -> (u16, Vec<(String, String)>, Str
     // The server may respond-and-reset before consuming the whole request
     // (oversized bodies), so a failed tail write is acceptable.
     let _ = stream.write_all(raw.as_bytes());
-    read_one_response(&mut stream)
+    read_response(&mut stream).unwrap()
 }
 
-/// Read exactly one response: head, then Content-Length body bytes. A reset
-/// after a complete response has arrived (server rejecting an undrained
-/// body) is tolerated.
-fn read_one_response(stream: &mut TcpStream) -> (u16, Vec<(String, String)>, String) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(parsed) = try_parse_response(&buf) {
-            return parsed;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => panic!(
-                "connection closed before a full response; got {:?}",
-                String::from_utf8_lossy(&buf)
-            ),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => panic!(
-                "read error {e} before a full response; got {:?}",
-                String::from_utf8_lossy(&buf)
-            ),
-        }
-    }
-}
-
-fn try_parse_response(bytes: &[u8]) -> Option<(u16, Vec<(String, String)>, String)> {
-    let text = String::from_utf8_lossy(bytes).into_owned();
-    let (head, rest) = text.split_once("\r\n\r\n")?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap();
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    let len: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
-    if rest.len() < len {
-        return None;
-    }
-    Some((status, headers, rest[..len].to_string()))
-}
-
-fn post_notebook(addr: SocketAddr, body: &str) -> (u16, Vec<(String, String)>, String) {
+fn post_notebook(addr: SocketAddr, body: &str) -> Response {
     http_request(
         addr,
         &format!(
@@ -124,7 +55,7 @@ fn request_with(
     target: &str,
     headers: &[(&str, &str)],
     body: &str,
-) -> (u16, Vec<(String, String)>, String) {
+) -> Response {
     let mut raw = format!("{method} {target} HTTP/1.1\r\nHost: t\r\n");
     for (n, v) in headers {
         raw.push_str(&format!("{n}: {v}\r\n"));
@@ -145,6 +76,26 @@ fn metrics(addr: SocketAddr) -> serde_json::Value {
     );
     assert_eq!(status, 200);
     serde_json::from_str(&body).unwrap()
+}
+
+/// The shared reader waits for every body byte: a read that ends inside
+/// a multi-byte character is an incomplete body, not a replacement
+/// character or a char-boundary panic.
+#[test]
+fn response_parser_waits_for_split_utf8_bodies() {
+    use common::try_parse_response;
+    assert_eq!(
+        try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\na\xC3"),
+        None
+    );
+    assert_eq!(
+        try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab\xE2\x82"),
+        None
+    );
+    let (status, headers, body) =
+        try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab\xE2\x82\xAC").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ab\u{20AC}"));
+    assert_eq!(header(&headers, "content-length"), Some("5"));
 }
 
 #[test]
@@ -268,13 +219,13 @@ fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
-        let (status, headers, _) = read_one_response(&mut stream);
+        let (status, headers, _) = read_response(&mut stream).unwrap();
         assert_eq!(status, 200);
         assert_eq!(header(&headers, "connection"), Some("keep-alive"));
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
             .unwrap();
-        let (status, headers, _) = read_one_response(&mut stream);
+        let (status, headers, _) = read_response(&mut stream).unwrap();
         assert_eq!(status, 200);
         assert_eq!(header(&headers, "connection"), Some("close"));
     }
@@ -450,11 +401,11 @@ fn tracing_debug_ring_and_prometheus_over_http() {
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
-        read_one_response(&mut stream);
+        read_response(&mut stream).unwrap();
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
             .unwrap();
-        read_one_response(&mut stream);
+        read_response(&mut stream).unwrap();
     }
     let snap = telemetry.snapshot();
     assert!(
