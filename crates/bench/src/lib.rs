@@ -10,8 +10,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod chaos;
-
 use atena_core::{Atena, AtenaConfig, GenerationResult, Notebook, Strategy};
 use atena_data::{simulate_traces, ExperimentalDataset, TraceConfig};
 use atena_env::EnvConfig;

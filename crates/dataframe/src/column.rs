@@ -49,6 +49,15 @@ impl StrColumn {
     }
 
     fn intern(&mut self, s: &str) -> u32 {
+        // The index is not serialized: a deserialized column arrives with an
+        // empty one, so rebuild it from the dictionary before the first
+        // lookup rather than give an existing string a second code.
+        if self.index.is_empty() && !self.dict.is_empty() {
+            self.index = (0u32..)
+                .zip(&self.dict)
+                .map(|(code, s)| (s.clone(), code))
+                .collect();
+        }
         if let Some(&code) = self.index.get(s) {
             return code;
         }
@@ -71,16 +80,6 @@ impl StrColumn {
     /// The dictionary of distinct strings seen by this column.
     pub fn dictionary(&self) -> &[String] {
         &self.dict
-    }
-
-    /// Rebuild the interning index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .dict
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
     }
 
     /// Gather the given rows into a new column (dictionary is re-compacted).
@@ -354,6 +353,22 @@ mod tests {
         assert_eq!(col.get(3), ValueRef::Null);
         assert_eq!(col.null_count(), 1);
         assert_eq!(col.n_distinct(), 2);
+    }
+
+    #[test]
+    fn restored_column_interns_existing_strings_to_their_codes() {
+        use serde::{Deserialize, Serialize};
+        let mut col = StrColumn::new();
+        col.push(Some("a"));
+        col.push(Some("b"));
+        let mut restored = StrColumn::from_content(&col.to_content()).unwrap();
+        restored.push(Some("a"));
+        restored.push(Some("c"));
+        assert_eq!(restored.dictionary(), ["a", "b", "c"]);
+        assert_eq!(restored.code(2), Some(0));
+        let counts = Column::Str(restored).value_counts();
+        assert_eq!(counts[&ValueKey::Str("a".into())], 2);
+        assert_eq!(counts[&ValueKey::Str("c".into())], 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! *physical* line numbers.
 
 use crate::column::Column;
-use crate::error::{DataFrameError, Result};
+use crate::error::DataFrameError;
 use crate::frame::DataFrame;
 use crate::schema::{AttrRole, Field};
 use crate::value::DType;
@@ -424,13 +424,6 @@ pub(crate) fn build_column(dtype: DType, cells: &[&str]) -> Column {
                     .map(|c| if c.is_empty() { None } else { Some(*c) }),
             )
         }
-    }
-}
-
-impl DataFrame {
-    /// Parse CSV from raw bytes under the given limits, streaming-style.
-    pub fn from_csv_bytes(bytes: &[u8], limits: CsvLimits) -> Result<DataFrame> {
-        parse_csv_bytes(bytes, limits).map_err(DataFrameError::from)
     }
 }
 

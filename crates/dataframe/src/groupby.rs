@@ -84,17 +84,11 @@ impl fmt::Display for AggFunc {
 /// a given input frame.
 #[derive(Debug, Clone)]
 pub struct Groups {
-    keys: Vec<String>,
     groups: Vec<(Vec<ValueKey>, Vec<usize>)>,
     n_source_rows: usize,
 }
 
 impl Groups {
-    /// Key column names.
-    pub fn key_names(&self) -> &[String] {
-        &self.keys
-    }
-
     /// Number of groups.
     pub fn n_groups(&self) -> usize {
         self.groups.len()
@@ -153,7 +147,6 @@ impl DataFrame {
         }
         let groups = order.into_iter().zip(rows_per_group).collect();
         Ok(Groups {
-            keys: keys.iter().map(|s| s.to_string()).collect(),
             groups,
             n_source_rows: self.n_rows(),
         })

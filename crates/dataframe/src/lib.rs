@@ -41,7 +41,6 @@ mod filter;
 mod frame;
 mod groupby;
 mod hashing;
-mod join;
 mod memo;
 mod schema;
 mod stats;
@@ -54,7 +53,6 @@ pub use filter::{CmpOp, Predicate};
 pub use frame::{DataFrame, DataFrameBuilder};
 pub use groupby::{AggFunc, Groups};
 pub use hashing::StableHasher;
-pub use join::JoinKind;
 pub use schema::{AttrRole, Field, Schema};
 pub use stats::{entropy_of_counts, ColumnStats, NumericSummary, ValueDistribution};
 pub use value::{DType, Value, ValueKey, ValueRef};

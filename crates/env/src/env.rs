@@ -572,17 +572,6 @@ impl EdaEnv {
         t
     }
 
-    /// Step with an explicit-term flat action (OTS-DRL baseline).
-    pub fn step_flat_term(&mut self, action: &FlatTermAction) -> Transition {
-        // atena-lint: allow(wall-clock) — step-latency telemetry; never affects results
-        let start = std::time::Instant::now();
-        let op = self.resolve_flat_term(action);
-        let preview = self.preview(&op);
-        let t = self.commit(preview);
-        self.telemetry.step_secs.record_duration(start.elapsed());
-        t
-    }
-
     /// The step-latency histogram (resolve + preview + commit), shared with
     /// callers that drive the three phases separately and still want their
     /// steps timed into the same metric.

@@ -97,11 +97,6 @@ impl SessionTree {
         &self.history
     }
 
-    /// Displays in chronological visit order (may repeat ids).
-    pub fn visited_displays(&self) -> impl Iterator<Item = &Display> {
-        self.history.iter().map(|&id| &self.displays[id])
-    }
-
     /// Attach a new display under the current node and move to it.
     pub fn push_display(&mut self, op: ResolvedOp, display: Display) -> usize {
         let from = self.current;

@@ -387,8 +387,8 @@ impl Config {
                 "crates/server/src/signal.rs",
                 "crates/batch/src/lib.rs",
             ],
-            unsafe_allowed_files: vec!["crates/nn/src/tensor.rs", "crates/server/src/signal.rs"],
-            forbid_exempt_crates: vec!["nn", "server"],
+            unsafe_allowed_files: vec!["crates/server/src/signal.rs"],
+            forbid_exempt_crates: vec!["server"],
         }
     }
 

@@ -1,5 +1,5 @@
 //! Fixture: documented unsafe, scanned under the allowlisted
-//! `crates/nn/src/tensor.rs` path.
+//! `crates/server/src/signal.rs` path.
 
 pub fn documented(ptr: *const u8) -> u8 {
     // SAFETY: caller guarantees `ptr` is valid for reads.

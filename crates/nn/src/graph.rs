@@ -29,8 +29,6 @@ enum Op {
     Mul(NodeId, NodeId),
     /// `A * k`.
     Scale(NodeId, f32),
-    /// `A + k` (the constant needs no gradient, so it is not stored).
-    AddScalar(NodeId),
     /// `max(A, 0)`.
     Relu(NodeId),
     /// `tanh(A)`.
@@ -172,13 +170,6 @@ impl Graph {
         let v = self.nodes[a.0].value.map(|x| x * k);
         let ng = self.needs(a);
         self.push(v, Op::Scale(a, k), ng)
-    }
-
-    /// `A + k`.
-    pub fn add_scalar(&mut self, a: NodeId, k: f32) -> NodeId {
-        let v = self.nodes[a.0].value.map(|x| x + k);
-        let ng = self.needs(a);
-        self.push(v, Op::AddScalar(a), ng)
     }
 
     /// `-A`.
@@ -356,7 +347,6 @@ impl Graph {
                 }
             }
             Op::Scale(a, k) => self.accumulate(*a, grad_out.map(|g| g * k)),
-            Op::AddScalar(a) => self.accumulate(*a, grad_out.clone()),
             Op::Relu(a) => {
                 let av = self.nodes[a.0].value.clone();
                 self.accumulate(*a, grad_out.zip(&av, |g, x| if x > 0.0 { g } else { 0.0 }));

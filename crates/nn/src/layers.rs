@@ -224,8 +224,7 @@ mod tests {
 
         /// Batched forward over `[B, in]` is bit-identical, row for row, to
         /// B serial one-row forwards and to the graph path — the property
-        /// that lets batching join the determinism contract. Runs with the
-        /// `simd` feature too, where the AVX kernel must uphold it.
+        /// that lets batching join the determinism contract.
         #[test]
         fn batched_and_serial_mlp_forward_agree_bitwise(
             seed in 0u64..1000,

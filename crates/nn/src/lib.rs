@@ -29,6 +29,7 @@
 //! opt.step(&params);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod graph;

@@ -75,50 +75,11 @@ fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 }
 
 /// `y[j] += a * x[j]` over the shorter of the two slices.
-///
-/// With the `simd` feature on x86-64 this takes an AVX mul+add path over
-/// column lanes when the CPU supports it. No FMA: element `j`'s result is
-/// one IEEE-754 multiply and one add in both paths, so the vector path is
-/// bit-identical to the scalar loop at any vector width.
 #[inline]
 fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support was just verified at runtime.
-            unsafe { axpy_avx(a, x, y) };
-            return;
-        }
-    }
-    axpy_scalar(a, x, y);
-}
-
-#[inline]
-fn axpy_scalar(a: f32, x: &[f32], y: &mut [f32]) {
     for (yj, &xj) in y.iter_mut().zip(x) {
         *yj += a * xj;
     }
-}
-
-// SAFETY: callers must verify AVX support at runtime before invoking (the
-// `axpy` dispatcher does); all loads/stores below stay within `x`/`y` bounds.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_avx(a: f32, x: &[f32], y: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = x.len().min(y.len());
-    let av = _mm256_set1_ps(a);
-    let mut j = 0;
-    while j + 8 <= n {
-        let xv = _mm256_loadu_ps(x.as_ptr().add(j));
-        let yv = _mm256_loadu_ps(y.as_ptr().add(j));
-        // Separate mul then add (never _mm256_fmadd_ps): fused rounding
-        // would diverge from the scalar kernel at the last bit.
-        let sum = _mm256_add_ps(yv, _mm256_mul_ps(av, xv));
-        _mm256_storeu_ps(y.as_mut_ptr().add(j), sum);
-        j += 8;
-    }
-    axpy_scalar(a, &x[j..n], &mut y[j..n]);
 }
 
 impl Tensor {

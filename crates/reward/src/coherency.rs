@@ -465,11 +465,6 @@ impl CoherencyClassifier {
         Self { rules, model }
     }
 
-    /// Number of labeling rules.
-    pub fn n_rules(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Rule names in vote order.
     pub fn rule_names(&self) -> Vec<&'static str> {
         self.rules.iter().map(|r| r.name()).collect()

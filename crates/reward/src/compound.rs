@@ -111,12 +111,6 @@ impl CompoundReward {
         self
     }
 
-    /// Override the weights.
-    pub fn with_weights(mut self, weights: RewardWeights) -> Self {
-        self.weights = weights;
-        self
-    }
-
     /// Current weights.
     pub fn weights(&self) -> RewardWeights {
         self.weights

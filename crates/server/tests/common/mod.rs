@@ -1,10 +1,12 @@
-//! Fixtures and a blocking HTTP/1.1 response reader shared by the
-//! server's socket test binaries.
+//! Fixtures and the one blocking HTTP/1.1 client shared by the server's
+//! socket test binaries: every response they read goes through
+//! [`read_response`] / [`try_parse_response`].
 
 use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
 use atena_dataframe::{AttrRole, DataFrame};
-use std::io::Read;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// A parsed response: status, headers (names lower-cased, values
 /// trimmed), body.
@@ -80,4 +82,69 @@ pub fn read_response(stream: &mut TcpStream) -> Result<Response, String> {
             String::from_utf8_lossy(&buf)
         ));
     }
+}
+
+/// Connect with a 20 s read timeout.
+pub fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream
+}
+
+/// Write `raw` on a fresh connection and read one response. The server
+/// may answer and reset before consuming the whole request (oversized
+/// bodies), so a failed tail write is not an error.
+pub fn try_request(addr: SocketAddr, raw: &[u8]) -> Result<Response, String> {
+    let mut stream = connect(addr);
+    let _ = stream.write_all(raw);
+    read_response(&mut stream)
+}
+
+/// One blocking HTTP exchange on a fresh connection.
+pub fn http_request(addr: SocketAddr, raw: &str) -> Response {
+    try_request(addr, raw.as_bytes()).unwrap()
+}
+
+/// The raw bytes of one `Connection: close` request with arbitrary
+/// method, target, extra headers, and body (`Content-Length` added for
+/// body-bearing methods).
+pub fn raw_request(method: &str, target: &str, headers: &[(&str, &str)], body: &str) -> String {
+    let mut raw = format!("{method} {target} HTTP/1.1\r\nHost: t\r\n");
+    for (n, v) in headers {
+        raw.push_str(&format!("{n}: {v}\r\n"));
+    }
+    if !body.is_empty() || matches!(method, "POST" | "PUT") {
+        raw.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    }
+    raw.push_str("Connection: close\r\n\r\n");
+    raw.push_str(body);
+    raw
+}
+
+/// [`raw_request`] sent with [`http_request`].
+pub fn request_with(
+    addr: SocketAddr,
+    method: &str,
+    target: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+) -> Response {
+    http_request(addr, &raw_request(method, target, headers, body))
+}
+
+/// The value of header `name` (lower-case).
+pub fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Fetch the `/v1/metrics` JSON document.
+pub fn metrics(addr: SocketAddr) -> serde_json::Value {
+    let (status, _, body) = request_with(addr, "GET", "/v1/metrics", &[], "");
+    assert_eq!(status, 200, "{body}");
+    serde_json::from_str(&body).unwrap()
 }

@@ -15,67 +15,39 @@ use std::time::Duration;
 
 mod common;
 
-use common::{base, read_response, tiny_bundle, Response};
+use common::{
+    base, connect, header, http_request, metrics, read_response, request_with, tiny_bundle,
+};
 
-/// One blocking HTTP exchange on a fresh connection.
-fn http_request(addr: SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    // The server may respond-and-reset before consuming the whole request
-    // (oversized bodies), so a failed tail write is acceptable.
-    let _ = stream.write_all(raw.as_bytes());
-    read_response(&mut stream).unwrap()
-}
-
-fn post_notebook(addr: SocketAddr, body: &str) -> Response {
-    http_request(
+fn post_notebook(addr: SocketAddr, body: &str) -> common::Response {
+    request_with(
         addr,
-        &format!(
-            "POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
+        "POST",
+        "/v1/notebook",
+        &[("Content-Type", "application/json")],
+        body,
     )
 }
 
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
-
-/// One `Connection: close` exchange with arbitrary method, target, extra
-/// headers, and body (`Content-Length` added for body-bearing methods).
-fn request_with(
-    addr: SocketAddr,
-    method: &str,
-    target: &str,
-    headers: &[(&str, &str)],
-    body: &str,
-) -> Response {
-    let mut raw = format!("{method} {target} HTTP/1.1\r\nHost: t\r\n");
-    for (n, v) in headers {
-        raw.push_str(&format!("{n}: {v}\r\n"));
-    }
-    if !body.is_empty() || matches!(method, "POST" | "PUT") {
-        raw.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    }
-    raw.push_str("Connection: close\r\n\r\n");
-    raw.push_str(body);
-    http_request(addr, &raw)
-}
-
-/// Fetch the `/v1/metrics` JSON document.
-fn metrics(addr: SocketAddr) -> serde_json::Value {
-    let (status, _, body) = http_request(
-        addr,
-        "GET /v1/metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+/// The shared reader returns a frame only once the whole head and every
+/// `Content-Length` body byte are in; a head without the header has an
+/// empty body.
+#[test]
+fn response_parser_handles_split_and_complete_frames() {
+    use common::try_parse_response;
+    let (status, _, body) =
+        try_parse_response(b"HTTP/1.1 404 Not Found\r\nContent-Length: 5\r\n\r\nhello").unwrap();
+    assert_eq!((status, body.as_str()), (404, "hello"));
+    // Body not yet complete: keep reading.
+    assert_eq!(
+        try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhel"),
+        None
     );
-    assert_eq!(status, 200);
-    serde_json::from_str(&body).unwrap()
+    // No blank line yet: keep reading.
+    assert_eq!(try_parse_response(b"HTTP/1.1 200 OK\r\n"), None);
+    // No Content-Length: an empty body.
+    let (status, _, body) = try_parse_response(b"HTTP/1.1 204 No Content\r\n\r\n").unwrap();
+    assert_eq!((status, body.as_str()), (204, ""));
 }
 
 /// The shared reader waits for every body byte: a read that ends inside
@@ -166,12 +138,7 @@ fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
     assert_eq!(&body, reference);
 
     // 6. /v1/metrics reports the cache hit and nonzero latency samples.
-    let (status, _, body) = http_request(
-        addr,
-        "GET /v1/metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
-    );
-    assert_eq!(status, 200);
-    let metrics: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let metrics = metrics(addr);
     // 7 identical requests total (6 concurrent + 1 repeat). Concurrent
     // clients may race to a miss before the first insert lands, but the
     // sequential repeat is a guaranteed hit, every request is either a hit
@@ -212,10 +179,7 @@ fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
 
     // 8. Keep-alive: two requests on one connection.
     {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
+        let mut stream = connect(addr);
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
@@ -270,12 +234,7 @@ fn response_cache_lru_semantics_over_http() {
         (header(&headers, "x-atena-cache").unwrap().to_string(), body)
     };
     let counters = || -> (u64, u64, u64) {
-        let (status, _, body) = http_request(
-            addr,
-            "GET /v1/metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
-        );
-        assert_eq!(status, 200);
-        let m: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let m = metrics(addr);
         (
             m["counters"]["server.cache.hits"].as_u64().unwrap_or(0),
             m["counters"]["server.cache.misses"].as_u64().unwrap_or(0),
@@ -394,10 +353,7 @@ fn tracing_debug_ring_and_prometheus_over_http() {
 
     // 2. Keep-alive reuse is counted (two requests, one connection).
     {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
+        let mut stream = connect(addr);
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
@@ -594,6 +550,10 @@ fn dataset_upload_notebook_delete_lifecycle_over_http() {
     assert_eq!(schema[0]["dtype"].as_str(), Some("str"));
     assert_eq!(schema[1]["name"].as_str(), Some("len"));
     assert_eq!(schema[1]["dtype"].as_str(), Some("int"));
+    assert!(
+        schema.iter().all(|c| c["role"].as_str().is_some()),
+        "{schema:?}"
+    );
 
     // 2. A second tenant uploading identical bytes dedups onto the same
     //    entry: 200 (not 201), same id, both tenants recorded.

@@ -111,16 +111,6 @@ pub fn set_level(level: Level) {
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// Current maximum level.
-pub fn max_level() -> Level {
-    match load_level() {
-        0 => Level::Error,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
-    }
-}
-
 /// Whether a message at `level` would be emitted.
 pub fn enabled(level: Level) -> bool {
     (level as u8) <= load_level()
@@ -698,28 +688,6 @@ impl MetricsRegistry {
                 .map(|(n, h)| (n.clone(), HistogramSummary::of(h)))
                 .collect(),
         }
-    }
-
-    /// Human-readable one-line-per-metric summary (for stderr reports).
-    pub fn render_text(&self) -> String {
-        let m = self.metrics.lock().expect("telemetry registry poisoned");
-        let mut out = String::new();
-        for (name, c) in &m.counters {
-            out.push_str(&format!("counter   {name:<40} {}\n", c.get()));
-        }
-        for (name, g) in &m.gauges {
-            out.push_str(&format!("gauge     {name:<40} {:.6}\n", g.get()));
-        }
-        for (name, h) in &m.histograms {
-            out.push_str(&format!(
-                "histogram {name:<40} n={} mean={:.3e} min={:.3e} max={:.3e}\n",
-                h.count(),
-                h.mean(),
-                h.min().unwrap_or(0.0),
-                h.max().unwrap_or(0.0),
-            ));
-        }
-        out
     }
 
     /// Prometheus text exposition (format version 0.0.4) of every registered

@@ -341,11 +341,6 @@ impl<'t> ActiveTrace<'t> {
         self.child_of(ROOT_SPAN_ID, name)
     }
 
-    /// Seconds since the trace (root span) started.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Record a span with an exact externally-measured duration (e.g. a
     /// worker thread's busy time) under `parent_id`. The start timestamp is
     /// back-dated by the duration, which is close enough for flame tables.
@@ -456,11 +451,6 @@ impl<'a, 't> SpanGuard<'a, 't> {
     ) {
         self.trace
             .record_exact(self.span_id, name, duration_secs, attrs);
-    }
-
-    /// Seconds since the span opened.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
     }
 
     /// Close now and return the elapsed seconds.
