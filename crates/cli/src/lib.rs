@@ -696,6 +696,26 @@ impl MetricSummary {
     }
 }
 
+/// `metrics summarize --format json` document.
+#[derive(serde::Serialize)]
+struct SummaryJson {
+    path: String,
+    skipped: usize,
+    metrics: Vec<MetricJson>,
+}
+
+/// One `(name, kind)` row of [`SummaryJson`].
+#[derive(serde::Serialize)]
+struct MetricJson {
+    name: String,
+    kind: String,
+    count: usize,
+    mean: f64,
+    min: f64,
+    max: f64,
+    last: f64,
+}
+
 /// Aggregate a `--metrics-out` JSONL file into a per-`(name, kind)` table.
 ///
 /// Rows are sorted alphabetically by metric name (then kind), so the output
@@ -740,21 +760,25 @@ pub fn summarize_metrics(path: &str, format: SummaryFormat) -> Result<String, Cl
     }
     match format {
         SummaryFormat::Json => {
-            let mut out = format!("{{\"path\":{:?},\"skipped\":{skipped},\"metrics\":[", path);
-            for (i, ((name, kind), s)) in stats.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"name\":{name:?},\"kind\":{kind:?},\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"last\":{}}}",
-                    s.count,
-                    s.sum / s.count as f64,
-                    s.min,
-                    s.max,
-                    s.last
-                ));
-            }
-            out.push_str("]}\n");
+            let doc = SummaryJson {
+                path: path.to_string(),
+                skipped,
+                metrics: stats
+                    .into_iter()
+                    .map(|((name, kind), s)| MetricJson {
+                        name,
+                        kind,
+                        count: s.count,
+                        mean: s.sum / s.count as f64,
+                        min: s.min,
+                        max: s.max,
+                        last: s.last,
+                    })
+                    .collect(),
+            };
+            let mut out = serde_json::to_string(&doc)
+                .map_err(|e| CliError::Runtime(format!("cannot render the summary: {e}")))?;
+            out.push('\n');
             Ok(out)
         }
         SummaryFormat::Text => {
@@ -1334,6 +1358,34 @@ mod tests {
         assert_eq!(loss["count"].as_u64(), Some(2));
         assert_eq!(loss["mean"].as_f64(), Some(0.375));
         assert_eq!(loss["last"].as_f64(), Some(0.25));
+
+        // Names and paths that need JSON escapes: a control character, and
+        // "café" in NFD (a combining U+0301, as macOS spells file names).
+        let dir = std::env::temp_dir().join("atena-cli-metrics-cafe\u{301}");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.jsonl").to_string_lossy().into_owned();
+        std::fs::write(
+            &path,
+            "\
+{\"ts\":1.0,\"kind\":\"counter\",\"name\":\"a\\u0001b\",\"value\":1,\"labels\":{}}
+{\"ts\":1.0,\"kind\":\"gauge\",\"name\":\"cafe\u{301}\",\"value\":2.5,\"labels\":{}}
+",
+        )
+        .unwrap();
+        let out = run(Command::MetricsSummarize {
+            path: path.clone(),
+            format: SummaryFormat::Json,
+        })
+        .unwrap();
+        let v: serde_json::Value = serde_json::from_str(out.trim()).expect("JSON summary parses");
+        assert_eq!(v["path"].as_str(), Some(path.as_str()));
+        let names: Vec<&str> = v["metrics"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|m| m["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(names, ["a\u{1}b", "cafe\u{301}"]);
     }
 
     #[test]

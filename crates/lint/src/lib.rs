@@ -34,9 +34,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod json;
 pub mod strip;
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -144,38 +144,32 @@ impl Report {
         self.findings.iter().filter(|f| f.status == Status::New)
     }
 
-    /// Machine-readable report, stable field order, one parseable document.
+    /// Machine-readable report (schema version 1), stable field order, one
+    /// parseable document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"version\":1,\"files_scanned\":{},\"rules_checked\":{},\"summary\":{{\"new\":{},\"allowed\":{},\"baselined\":{}}},\"findings\":[",
-            self.files_scanned,
-            Rule::ALL.len(),
-            self.count(Status::New),
-            self.count(Status::Allowed),
-            self.count(Status::Baselined),
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"status\":\"{}\",\"message\":\"{}\"",
-                json::escape(&f.file),
-                f.line,
-                f.rule.id(),
-                f.status.id(),
-                json::escape(&f.message),
-            );
-            if let Some(reason) = &f.reason {
-                let _ = write!(out, ",\"reason\":\"{}\"", json::escape(reason));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let doc = ReportJson {
+            version: 1,
+            files_scanned: self.files_scanned,
+            rules_checked: Rule::ALL.len(),
+            summary: SummaryJson {
+                new: self.count(Status::New),
+                allowed: self.count(Status::Allowed),
+                baselined: self.count(Status::Baselined),
+            },
+            findings: self
+                .findings
+                .iter()
+                .map(|f| FindingJson {
+                    file: f.file.clone(),
+                    line: f.line,
+                    rule: f.rule.id(),
+                    status: f.status.id(),
+                    message: f.message.clone(),
+                    reason: f.reason.clone(),
+                })
+                .collect(),
+        };
+        serde_json::to_string(&doc).expect("a report of strings and integers serializes")
     }
 
     /// Human-readable report: new findings first (the actionable set), then
@@ -221,6 +215,34 @@ impl Report {
     }
 }
 
+/// `--format json` document.
+#[derive(Serialize)]
+struct ReportJson {
+    version: u32,
+    files_scanned: usize,
+    rules_checked: usize,
+    summary: SummaryJson,
+    findings: Vec<FindingJson>,
+}
+
+#[derive(Serialize)]
+struct SummaryJson {
+    new: usize,
+    allowed: usize,
+    baselined: usize,
+}
+
+#[derive(Serialize)]
+struct FindingJson {
+    file: String,
+    line: usize,
+    rule: &'static str,
+    status: &'static str,
+    message: String,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    reason: Option<String>,
+}
+
 // ---------------------------------------------------------------------------
 // Baseline (ratchet)
 // ---------------------------------------------------------------------------
@@ -237,57 +259,37 @@ impl Baseline {
     /// Parse `lint-baseline.json`:
     /// `{"version":1,"entries":[{"file":..,"rule":..,"count":..}, ...]}`.
     pub fn parse(src: &str) -> Result<Baseline, String> {
-        let doc = json::parse(src)?;
-        if doc.get("version").and_then(|v| v.as_u64()) != Some(1) {
-            return Err("baseline: unsupported or missing version".into());
+        let doc: BaselineJson = serde_json::from_str(src).map_err(|e| format!("baseline: {e}"))?;
+        if doc.version != 1 {
+            return Err(format!("baseline: unsupported version {}", doc.version));
         }
         let mut entries = BTreeMap::new();
-        for e in doc
-            .get("entries")
-            .and_then(|v| v.as_arr())
-            .ok_or("baseline: missing entries array")?
-        {
-            let file = e
-                .get("file")
-                .and_then(|v| v.as_str())
-                .ok_or("baseline entry: missing file")?;
-            let rule = e
-                .get("rule")
-                .and_then(|v| v.as_str())
-                .ok_or("baseline entry: missing rule")?;
-            if Rule::from_id(rule).is_none() {
-                return Err(format!("baseline entry: unknown rule {rule:?}"));
+        for e in doc.entries {
+            if Rule::from_id(&e.rule).is_none() {
+                return Err(format!("baseline entry: unknown rule {:?}", e.rule));
             }
-            let count = e
-                .get("count")
-                .and_then(|v| v.as_u64())
-                .ok_or("baseline entry: missing count")? as usize;
-            entries.insert((file.to_string(), rule.to_string()), count);
+            entries.insert((e.file, e.rule), e.count);
         }
         Ok(Baseline { entries })
     }
 
+    /// The baseline file: indented JSON with a trailing newline.
     pub fn to_json(&self) -> String {
-        if self.entries.is_empty() {
-            return String::from("{\n  \"version\": 1,\n  \"entries\": []\n}\n");
-        }
-        let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [");
-        for (i, ((file, rule), count)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"file\": \"{}\", \"rule\": \"{}\", \"count\": {}}}",
-                json::escape(file),
-                json::escape(rule),
-                count
-            );
-        }
-        if !self.entries.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
+        let doc = BaselineJson {
+            version: 1,
+            entries: self
+                .entries
+                .iter()
+                .map(|((file, rule), &count)| BaselineEntryJson {
+                    file: file.clone(),
+                    rule: rule.clone(),
+                    count,
+                })
+                .collect(),
+        };
+        let mut out = serde_json::to_string_pretty(&doc)
+            .expect("a baseline of strings and integers serializes");
+        out.push('\n');
         out
     }
 
@@ -319,6 +321,20 @@ impl Baseline {
             }
         }
     }
+}
+
+/// `lint-baseline.json` as written on disk.
+#[derive(Serialize, Deserialize)]
+struct BaselineJson {
+    version: u32,
+    entries: Vec<BaselineEntryJson>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct BaselineEntryJson {
+    file: String,
+    rule: String,
+    count: usize,
 }
 
 // ---------------------------------------------------------------------------

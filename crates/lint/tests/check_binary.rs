@@ -2,7 +2,7 @@
 //! `check --format json --metrics-out` exits 0 with a version-1 report
 //! holding no new finding, and streams its `lint.*` counters to the sink.
 
-use atena_lint::json;
+use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
@@ -32,20 +32,16 @@ fn check_binary_reports_no_new_findings_and_streams_counters() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let report = json::parse(&report_text).unwrap();
-    assert_eq!(report.get("version").and_then(json::Value::as_u64), Some(1));
-    let new = report.get("summary").and_then(|s| s.get("new"));
-    assert_eq!(new.and_then(json::Value::as_u64), Some(0), "{report_text}");
+    let report: Value = serde_json::from_str(&report_text).unwrap();
+    assert_eq!(report["version"].as_u64(), Some(1));
+    assert_eq!(report["summary"]["new"].as_u64(), Some(0), "{report_text}");
 
     let counters: BTreeMap<String, u64> = std::fs::read_to_string(&metrics)
         .unwrap()
         .lines()
-        .map(|line| json::parse(line).unwrap())
-        .filter(|e| e.get("kind").and_then(json::Value::as_str) == Some("counter"))
-        .filter_map(|e| {
-            let name = e.get("name")?.as_str()?.to_string();
-            Some((name, e.get("value")?.as_u64()?))
-        })
+        .map(|line| serde_json::from_str::<Value>(line).unwrap())
+        .filter(|e| e["kind"] == "counter")
+        .filter_map(|e| Some((e["name"].as_str()?.to_string(), e["value"].as_u64()?)))
         .collect();
     assert_eq!(counters.get("lint.rules_checked"), Some(&5), "{counters:?}");
     assert_eq!(counters.get("lint.findings_new"), Some(&0), "{counters:?}");

@@ -6,7 +6,7 @@
 //! fed to `scan_source` under fake workspace-relative paths so the tier
 //! logic sees them as production code.
 
-use atena_lint::{json, scan_source, Baseline, Config, Report, Rule, Status};
+use atena_lint::{scan_source, Baseline, Config, Report, Rule, Status};
 
 const HASH_ORDER_BAD: &str = include_str!("fixtures/hash_order_bad.rs");
 const HASH_ORDER_OK: &str = include_str!("fixtures/hash_order_ok.rs");
@@ -53,6 +53,21 @@ fn hash_order_ok_is_clean_modulo_allows() {
     // The two annotated HashMap uses are reported as allowed, with reasons.
     assert_eq!(findings.len(), 2);
     assert!(findings.iter().all(|f| f.reason.is_some()));
+    // The JSON report carries each reason next to its finding.
+    let report = Report {
+        findings,
+        files_scanned: 1,
+    };
+    let doc: serde_json::Value = serde_json::from_str(&report.to_json()).unwrap();
+    for (json, f) in doc["findings"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .zip(&report.findings)
+    {
+        assert_eq!(json["status"], "allowed");
+        assert_eq!(json["reason"].as_str(), f.reason.as_deref());
+    }
 }
 
 #[test]
@@ -163,20 +178,18 @@ fn baseline_round_trips_through_json_report() {
     assert_eq!(report.count(Status::Baselined), 4);
 
     // The JSON report agrees with itself after a parse round-trip.
-    let doc = json::parse(&report.to_json()).expect("report JSON parses");
-    assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(1));
-    let summary = doc.get("summary").expect("summary present");
-    assert_eq!(summary.get("new").and_then(|v| v.as_u64()), Some(0));
-    assert_eq!(summary.get("baselined").and_then(|v| v.as_u64()), Some(4));
-    assert_eq!(
-        doc.get("findings")
-            .and_then(|v| v.as_arr())
-            .map(|a| a.len()),
-        Some(4)
-    );
-    for f in doc.get("findings").and_then(|v| v.as_arr()).unwrap() {
-        assert_eq!(f.get("rule").and_then(|v| v.as_str()), Some("hash-order"));
-        assert_eq!(f.get("status").and_then(|v| v.as_str()), Some("baselined"));
+    let doc: serde_json::Value =
+        serde_json::from_str(&report.to_json()).expect("report JSON parses");
+    assert_eq!(doc["version"].as_u64(), Some(1));
+    assert_eq!(doc["summary"]["new"].as_u64(), Some(0));
+    assert_eq!(doc["summary"]["baselined"].as_u64(), Some(4));
+    let findings = doc["findings"].as_array().expect("findings array");
+    assert_eq!(findings.len(), 4);
+    for f in findings {
+        assert_eq!(f["rule"], "hash-order");
+        assert_eq!(f["status"], "baselined");
+        // `reason` appears only on annotated (`allowed`) findings.
+        assert!(f.get("reason").is_none(), "{f:?}");
     }
 
     // Ratchet semantics: one more finding than the baseline covers → new.

@@ -18,7 +18,13 @@ fn workspace_is_clean_modulo_baseline() {
 
     let baseline_path = root.join("lint-baseline.json");
     let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text).expect("lint-baseline.json parses"),
+        Ok(text) => {
+            let baseline = Baseline::parse(&text).expect("lint-baseline.json parses");
+            // The checked-in file is byte for byte what `--write-baseline`
+            // writes for it.
+            assert_eq!(baseline.to_json(), text, "lint-baseline.json layout");
+            baseline
+        }
         Err(_) => Baseline::default(),
     };
 

@@ -1,5 +1,5 @@
 //! A minimal, strict HTTP/1.1 request parser and response writer built on
-//! `std::io` — no external dependencies.
+//! `std::io`. JSON bodies are rendered by `serde_json`.
 //!
 //! The parser is incremental: it owns a byte buffer, reads from any
 //! [`Read`] in chunks, and yields one request at a time. Bytes past the end
@@ -7,6 +7,7 @@
 //! clients need. Limits (header size, body size) are enforced *while*
 //! reading, so an oversized request is rejected without buffering it all.
 
+use serde::Serialize;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -434,13 +435,31 @@ impl Response {
         }
     }
 
+    /// A JSON response whose body is `value` rendered by `serde_json`. A
+    /// value that fails to serialize is answered with a typed 500 instead.
+    pub fn json_of(status: u16, reason: &'static str, value: &impl Serialize) -> Self {
+        match serde_json::to_string(value) {
+            Ok(body) => Self::json(status, reason, body),
+            Err(e) => Self::error(
+                500,
+                "Internal Server Error",
+                &format!("response serialization failed: {e}"),
+            ),
+        }
+    }
+
     /// A JSON error response `{"error": message}`.
     pub fn error(status: u16, reason: &'static str, message: &str) -> Self {
-        let mut body = String::with_capacity(message.len() + 16);
-        body.push_str("{\"error\":");
-        push_json_string(&mut body, message);
-        body.push('}');
-        Self::json(status, reason, body.into_bytes())
+        let body = ErrorBody {
+            error: message.to_string(),
+        };
+        // An object of one string always serializes; the empty fallback
+        // only keeps this path free of panics.
+        Self::json(
+            status,
+            reason,
+            serde_json::to_string(&body).unwrap_or_default(),
+        )
     }
 
     /// Add a header.
@@ -519,21 +538,10 @@ impl Write for DeadlineWriter<'_> {
     }
 }
 
-/// Append a JSON string literal (quoted, escaped) to `out`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// The body of every error response.
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! # atena-server
 //!
 //! A from-scratch HTTP/1.1 inference service for ATENA notebook generation,
-//! built entirely on `std::net` — no external dependencies.
+//! built on `std::net`; every JSON body is rendered by `serde_json`.
 //!
 //! At startup the server loads a [`PolicyBundle`](atena_core::PolicyBundle)
 //! (a trained twofold policy plus its dataset identity and environment
@@ -51,13 +51,13 @@ pub use pool::ThreadPool;
 pub use signal::{install_handlers, request_shutdown, shutdown_requested};
 
 use atena_registry::{
-    AdmissionController, DatasetRegistry, RegistryConfig, RegistryError, TenantLimits,
+    AdmissionController, DatasetInfo, DatasetRegistry, RegistryConfig, RegistryError, TenantLimits,
 };
 use atena_telemetry::{
     ActiveTrace, HistogramSummary, MetricsRegistry, MetricsSnapshot, ROOT_SPAN_ID,
 };
-use http::push_json_string;
-use std::collections::VecDeque;
+use serde::Serialize;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -115,6 +115,7 @@ impl Default for ServerConfig {
 
 /// One `/v1/debug/requests` ring entry: a served request's identity and
 /// latency breakdown.
+#[derive(Clone, Serialize)]
 struct RequestDebug {
     trace_id: String,
     ts: f64,
@@ -544,7 +545,7 @@ fn route(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) -> RouteO
     match (request.method.as_str(), request.path()) {
         ("GET", "/v1/healthz") => {
             t.counter("server.http.requests.healthz").inc();
-            RouteOutcome::plain(Response::ok_json(healthz_json(state)))
+            RouteOutcome::plain(healthz(state))
         }
         ("GET", "/v1/metrics") => {
             t.counter("server.http.requests.metrics").inc();
@@ -560,15 +561,12 @@ fn route(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) -> RouteO
                     t.render_prometheus(),
                 ));
             }
-            let snapshot = t.snapshot();
-            RouteOutcome::plain(Response::ok_json(metrics_json(
-                &snapshot,
-                state.started.elapsed().as_secs_f64(),
-            )))
+            let body = MetricsBody::new(t.snapshot(), state.started.elapsed().as_secs_f64());
+            RouteOutcome::plain(Response::json_of(200, "OK", &body))
         }
         ("GET", "/v1/debug/requests") => {
             t.counter("server.http.requests.debug").inc();
-            RouteOutcome::plain(Response::ok_json(debug_requests_json(state)))
+            RouteOutcome::plain(debug_requests(state))
         }
         ("POST", "/v1/notebook") => {
             t.counter("server.http.requests.notebook").inc();
@@ -589,16 +587,14 @@ fn route(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) -> RouteO
         }
         ("GET", "/v1/datasets") => {
             t.counter("server.http.requests.datasets").inc();
-            RouteOutcome::plain(Response::ok_json(datasets_json(state)))
+            RouteOutcome::plain(datasets(state))
         }
         ("GET", path) if path.strip_prefix("/v1/datasets/").is_some() => {
             t.counter("server.http.requests.datasets").inc();
             let id = path.strip_prefix("/v1/datasets/").unwrap_or_default();
             match state.registry.get(id) {
                 Some((_, info)) => {
-                    let mut out = String::new();
-                    push_dataset_info(&mut out, &info);
-                    RouteOutcome::plain(Response::ok_json(out))
+                    RouteOutcome::plain(Response::json_of(200, "OK", &DatasetBody::from(info)))
                 }
                 None => {
                     t.counter("server.http.errors").inc();
@@ -619,9 +615,7 @@ fn route(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) -> RouteO
             let id = path.strip_prefix("/v1/datasets/").unwrap_or_default();
             match state.registry.delete(id) {
                 Ok(info) => {
-                    let mut out = String::new();
-                    push_dataset_info(&mut out, &info);
-                    RouteOutcome::plain(Response::ok_json(out))
+                    RouteOutcome::plain(Response::json_of(200, "OK", &DatasetBody::from(info)))
                 }
                 Err(e) => registry_error_response(state, &e),
             }
@@ -660,71 +654,101 @@ fn serve_upload(request: &Request, state: &AppState, tenant: &str) -> RouteOutco
                 .get(&outcome.info.dataset_id)
                 .map(|(frame, _)| frame)
                 .unwrap_or_else(|| Arc::clone(state.engine.frame()));
-            let compatible = state.engine.bundle().frame_compatible(&frame).is_ok();
-            let mut out = String::from("{\"dataset\":");
-            push_dataset_info(&mut out, &outcome.info);
-            out.push_str(&format!(
-                ",\"deduplicated\":{},\"policy_compatible\":{compatible},\"schema\":[",
-                outcome.deduplicated,
-            ));
-            for (i, field) in frame.schema().fields().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"name\":");
-                push_json_string(&mut out, &field.name);
-                out.push_str(&format!(
-                    ",\"dtype\":\"{}\",\"role\":\"{}\"}}",
-                    field.dtype.name(),
-                    field.role.name(),
-                ));
-            }
-            out.push_str("]}");
+            let body = UploadBody {
+                dataset: DatasetBody::from(outcome.info),
+                deduplicated: outcome.deduplicated,
+                policy_compatible: state.engine.bundle().frame_compatible(&frame).is_ok(),
+                schema: frame
+                    .schema()
+                    .fields()
+                    .iter()
+                    .map(|field| FieldBody {
+                        name: field.name.clone(),
+                        dtype: field.dtype.name(),
+                        role: field.role.name(),
+                    })
+                    .collect(),
+            };
             let (status, reason): (u16, &'static str) = if outcome.deduplicated {
                 (200, "OK")
             } else {
                 (201, "Created")
             };
-            RouteOutcome::plain(Response::json(status, reason, out))
+            RouteOutcome::plain(Response::json_of(status, reason, &body))
         }
         Err(e) => registry_error_response(state, &e),
     }
 }
 
-/// Render one [`atena_registry::DatasetInfo`] as a JSON object.
-fn push_dataset_info(out: &mut String, info: &atena_registry::DatasetInfo) {
-    out.push_str("{\"dataset_id\":");
-    push_json_string(out, &info.dataset_id);
-    out.push_str(",\"name\":");
-    push_json_string(out, &info.name);
-    out.push_str(&format!(
-        ",\"rows\":{},\"cols\":{},\"bytes\":{},\"fingerprint\":\"{:016x}\",\"pinned\":{},\"tenants\":[",
-        info.rows, info.cols, info.bytes, info.fingerprint, info.pinned,
-    ));
-    for (i, tenant) in info.tenants.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(out, tenant);
-    }
-    out.push_str("]}");
+/// The `POST /v1/datasets` reply.
+#[derive(Serialize)]
+struct UploadBody {
+    dataset: DatasetBody,
+    deduplicated: bool,
+    policy_compatible: bool,
+    schema: Vec<FieldBody>,
 }
 
-/// Render the `GET /v1/datasets` listing with registry totals.
-fn datasets_json(state: &AppState) -> String {
-    let snap = state.registry.snapshot();
-    let mut out = format!(
-        "{{\"total_bytes\":{},\"unpinned_bytes\":{},\"budget_bytes\":{},\"datasets\":[",
-        snap.total_bytes, snap.unpinned_bytes, snap.budget_bytes,
-    );
-    for (i, info) in state.registry.list().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// One column of an uploaded dataset's schema.
+#[derive(Serialize)]
+struct FieldBody {
+    name: String,
+    dtype: &'static str,
+    role: &'static str,
+}
+
+/// One dataset's metadata, as every `/v1/datasets` route renders it.
+#[derive(Serialize)]
+struct DatasetBody {
+    dataset_id: String,
+    name: String,
+    rows: usize,
+    cols: usize,
+    bytes: usize,
+    /// The content fingerprint as 16 hex digits.
+    fingerprint: String,
+    pinned: bool,
+    tenants: Vec<String>,
+}
+
+impl From<DatasetInfo> for DatasetBody {
+    fn from(info: DatasetInfo) -> Self {
+        Self {
+            fingerprint: format!("{:016x}", info.fingerprint),
+            dataset_id: info.dataset_id,
+            name: info.name,
+            rows: info.rows,
+            cols: info.cols,
+            bytes: info.bytes,
+            pinned: info.pinned,
+            tenants: info.tenants,
         }
-        push_dataset_info(&mut out, info);
     }
-    out.push_str("]}");
-    out
+}
+
+/// The `GET /v1/datasets` listing with registry totals.
+#[derive(Serialize)]
+struct DatasetsBody {
+    total_bytes: usize,
+    unpinned_bytes: usize,
+    budget_bytes: usize,
+    datasets: Vec<DatasetBody>,
+}
+
+fn datasets(state: &AppState) -> Response {
+    let snap = state.registry.snapshot();
+    let body = DatasetsBody {
+        total_bytes: snap.total_bytes,
+        unpinned_bytes: snap.unpinned_bytes,
+        budget_bytes: snap.budget_bytes,
+        datasets: state
+            .registry
+            .list()
+            .into_iter()
+            .map(DatasetBody::from)
+            .collect(),
+    };
+    Response::json_of(200, "OK", &body)
 }
 
 /// `POST /v1/notebook`: validate the JSON body, consult the LRU cache, and
@@ -871,40 +895,45 @@ fn serve_notebook(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) 
     }
 }
 
-/// Render the `/v1/debug/requests` document: tracer health plus the
+/// The `/v1/debug/requests` document: tracer health plus the
 /// recent-request ring, newest first.
-fn debug_requests_json(state: &AppState) -> String {
+#[derive(Serialize)]
+struct DebugRequestsBody {
+    capacity: usize,
+    tracing: TracingBody,
+    requests: Vec<RequestDebug>,
+}
+
+#[derive(Serialize)]
+struct TracingBody {
+    enabled: bool,
+    spans_recorded: u64,
+    spans_dropped: u64,
+    traces_recorded: u64,
+}
+
+fn debug_requests(state: &AppState) -> Response {
     let tracer = atena_telemetry::tracer();
     let counts = tracer.counts();
-    let mut out = format!(
-        "{{\"capacity\":{DEBUG_RING_CAPACITY},\"tracing\":{{\"enabled\":{},\
-         \"spans_recorded\":{},\"spans_dropped\":{},\"traces_recorded\":{}}},\"requests\":[",
-        tracer.is_enabled(),
-        counts.spans_recorded,
-        counts.spans_dropped,
-        counts.traces_recorded,
-    );
-    let ring = state.debug.lock().unwrap_or_else(PoisonError::into_inner);
-    for (i, r) in ring.iter().rev().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"trace_id\":");
-        push_json_string(&mut out, &r.trace_id);
-        out.push_str(",\"ts\":");
-        out.push_str(&format!("{:.3}", r.ts));
-        out.push_str(",\"method\":");
-        push_json_string(&mut out, &r.method);
-        out.push_str(",\"path\":");
-        push_json_string(&mut out, &r.path);
-        out.push_str(&format!(
-            ",\"status\":{},\"cache\":\"{}\",\"total_secs\":{:.6},\
-             \"read_secs\":{:.6},\"decode_secs\":{:.6}}}",
-            r.status, r.cache, r.total_secs, r.read_secs, r.decode_secs,
-        ));
-    }
-    out.push_str("]}");
-    out
+    let requests = state
+        .debug
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .rev()
+        .cloned()
+        .collect();
+    let body = DebugRequestsBody {
+        capacity: DEBUG_RING_CAPACITY,
+        tracing: TracingBody {
+            enabled: tracer.is_enabled(),
+            spans_recorded: counts.spans_recorded,
+            spans_dropped: counts.spans_dropped,
+            traces_recorded: counts.traces_recorded,
+        },
+        requests,
+    };
+    Response::json_of(200, "OK", &body)
 }
 
 fn optional_u64(value: &serde_json::Value, field: &str) -> Result<Option<u64>, String> {
@@ -917,75 +946,93 @@ fn optional_u64(value: &serde_json::Value, field: &str) -> Result<Option<u64>, S
     }
 }
 
-fn healthz_json(state: &AppState) -> String {
-    let bundle = state.engine.bundle();
-    let mut out = String::from("{\"status\":\"ok\",\"dataset\":");
-    push_json_string(&mut out, state.engine.dataset());
-    out.push_str(",\"strategy\":");
-    push_json_string(&mut out, bundle.strategy.name());
-    let snap = state.registry.snapshot();
-    out.push_str(&format!(
-        ",\"episode_len\":{},\"train_steps\":{},\"uptime_secs\":{:.3},\
-         \"registry\":{{\"datasets\":{},\"total_bytes\":{},\"budget_bytes\":{}}}}}",
-        bundle.env.episode_len,
-        bundle.train_steps,
-        state.started.elapsed().as_secs_f64(),
-        snap.entries,
-        snap.total_bytes,
-        snap.budget_bytes,
-    ));
-    out
+/// The `/v1/healthz` document: liveness plus the loaded bundle and the
+/// registry's occupancy.
+#[derive(Serialize)]
+struct HealthzBody {
+    status: &'static str,
+    dataset: String,
+    strategy: &'static str,
+    episode_len: usize,
+    train_steps: usize,
+    uptime_secs: f64,
+    registry: RegistryBody,
 }
 
-/// Render a [`MetricsSnapshot`] as the `/v1/metrics` JSON document.
-fn metrics_json(snapshot: &MetricsSnapshot, uptime_secs: f64) -> String {
-    fn f64_json(v: f64) -> String {
-        if v.is_finite() {
-            v.to_string()
-        } else {
-            "null".to_string()
+#[derive(Serialize)]
+struct RegistryBody {
+    datasets: usize,
+    total_bytes: usize,
+    budget_bytes: usize,
+}
+
+fn healthz(state: &AppState) -> Response {
+    let bundle = state.engine.bundle();
+    let snap = state.registry.snapshot();
+    let body = HealthzBody {
+        status: "ok",
+        dataset: state.engine.dataset().to_string(),
+        strategy: bundle.strategy.name(),
+        episode_len: bundle.env.episode_len,
+        train_steps: bundle.train_steps,
+        uptime_secs: state.started.elapsed().as_secs_f64(),
+        registry: RegistryBody {
+            datasets: snap.entries,
+            total_bytes: snap.total_bytes,
+            budget_bytes: snap.budget_bytes,
+        },
+    };
+    Response::json_of(200, "OK", &body)
+}
+
+/// The `/v1/metrics` JSON document: a [`MetricsSnapshot`] keyed by metric
+/// name. Non-finite gauges and summaries render as `null`.
+#[derive(Serialize)]
+struct MetricsBody {
+    uptime_secs: f64,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, HistogramBody>,
+}
+
+#[derive(Serialize)]
+struct HistogramBody {
+    count: u64,
+    mean: f64,
+    min: f64,
+    max: f64,
+    p50: f64,
+    p95: f64,
+    p99: f64,
+}
+
+impl MetricsBody {
+    fn new(snapshot: MetricsSnapshot, uptime_secs: f64) -> Self {
+        Self {
+            uptime_secs,
+            counters: snapshot.counters.into_iter().collect(),
+            gauges: snapshot.gauges.into_iter().collect(),
+            histograms: snapshot
+                .histograms
+                .into_iter()
+                .map(|(name, h)| (name, HistogramBody::from(h)))
+                .collect(),
         }
     }
-    fn histogram_json(h: &HistogramSummary) -> String {
-        format!(
-            "{{\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            h.count,
-            f64_json(h.mean),
-            f64_json(h.min),
-            f64_json(h.max),
-            f64_json(h.p50),
-            f64_json(h.p95),
-            f64_json(h.p99),
-        )
-    }
-    let mut out = format!("{{\"uptime_secs\":{:.3},\"counters\":{{", uptime_secs);
-    for (i, (name, v)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+}
+
+impl From<HistogramSummary> for HistogramBody {
+    fn from(h: HistogramSummary) -> Self {
+        Self {
+            count: h.count,
+            mean: h.mean,
+            min: h.min,
+            max: h.max,
+            p50: h.p50,
+            p95: h.p95,
+            p99: h.p99,
         }
-        push_json_string(&mut out, name);
-        out.push_str(&format!(":{v}"));
     }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in snapshot.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(&mut out, name);
-        out.push(':');
-        out.push_str(&f64_json(*v));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(&mut out, name);
-        out.push(':');
-        out.push_str(&histogram_json(h));
-    }
-    out.push_str("}}");
-    out
 }
 
 #[cfg(test)]
@@ -1000,7 +1047,7 @@ mod tests {
         reg.gauge("g").set(1.25);
         let h: Histogram = reg.histogram("server.http.latency_secs");
         h.record(0.002);
-        let text = metrics_json(&reg.snapshot(), 3.5);
+        let text = serde_json::to_string(&MetricsBody::new(reg.snapshot(), 3.5)).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         assert_eq!(v["counters"]["server.http.requests"].as_u64(), Some(7));
         assert_eq!(v["gauges"]["g"].as_f64(), Some(1.25));

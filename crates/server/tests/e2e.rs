@@ -539,6 +539,8 @@ fn dataset_upload_notebook_delete_lifecycle_over_http() {
         .unwrap()
         .to_string();
     assert!(id.starts_with("ds-") && id.len() == 19, "id: {id}");
+    // The fingerprint is a string of the same 16 hex digits.
+    assert_eq!(uploaded["dataset"]["fingerprint"].as_str(), Some(&id[3..]));
     assert_eq!(uploaded["dataset"]["name"].as_str(), Some("mycsv"));
     assert_eq!(uploaded["dataset"]["rows"].as_u64(), Some(40));
     assert_eq!(uploaded["dataset"]["cols"].as_u64(), Some(2));
@@ -701,6 +703,46 @@ fn dataset_upload_notebook_delete_lifecycle_over_http() {
     let health: serde_json::Value = serde_json::from_str(&body).unwrap();
     // The pinned dataset and the (still-resident) incompatible upload.
     assert_eq!(health["registry"]["datasets"].as_u64(), Some(2));
+
+    // 11. Names that need JSON escapes come back unchanged from every
+    //     dataset reply: a column named with `"`, `\` and U+0001, one with
+    //     a combining U+0301, and a dataset name with `"` and `\`.
+    let columns = ["q\"uote\\back\u{1}slash", "cafe\u{301}"];
+    let name = "we\"ird\\name";
+    let odd_csv = "\"q\"\"uote\\back\u{1}slash\",cafe\u{301}\n1,2\n3,4\n";
+    let (status, _, body) = request_with(
+        addr,
+        "POST",
+        "/v1/datasets",
+        &[("X-Atena-Dataset-Name", name)],
+        odd_csv,
+    );
+    assert_eq!(status, 201, "{body}");
+    let uploaded: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(uploaded["dataset"]["name"], name);
+    let schema = uploaded["schema"].as_array().unwrap();
+    let names: Vec<&str> = schema.iter().map(|c| c["name"].as_str().unwrap()).collect();
+    assert_eq!(names, columns);
+    let odd_id = uploaded["dataset"]["dataset_id"].as_str().unwrap();
+    let target = format!("/v1/datasets/{odd_id}");
+    let (status, _, body) = request_with(addr, "GET", &target, &[], "");
+    assert_eq!(status, 200, "{body}");
+    let one: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(one["name"], name);
+    let (status, _, body) = request_with(addr, "GET", "/v1/datasets", &[], "");
+    assert_eq!(status, 200, "{body}");
+    let listing: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let listed = listing["datasets"].as_array().unwrap();
+    assert!(
+        listed
+            .iter()
+            .any(|d| d["dataset_id"] == odd_id && d["name"] == name),
+        "{body}"
+    );
+    let (status, _, body) = request_with(addr, "DELETE", &target, &[], "");
+    assert_eq!(status, 200, "{body}");
+    let deleted: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(deleted["name"], name);
 
     handle.shutdown();
 }

@@ -3,7 +3,8 @@
 //! The build environment cannot fetch crates.io, so this crate provides a
 //! miniature serialization framework with the same *surface* as the serde
 //! subset the workspace uses: `Serialize`/`Deserialize` traits, derive
-//! macros (`#[derive(Serialize, Deserialize)]`, honouring `#[serde(skip)]`),
+//! macros (`#[derive(Serialize, Deserialize)]`, honouring `#[serde(skip)]`
+//! and `#[serde(skip_serializing_if = "...")]`),
 //! and enough impls for the primitive/container types that appear in the
 //! workspace's config, checkpoint, and report structs.
 //!

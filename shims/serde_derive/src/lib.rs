@@ -5,7 +5,8 @@
 //! `syn`/`quote`; instead this crate walks the raw [`proc_macro`] token
 //! stream directly. It supports exactly the shapes the workspace derives on:
 //!
-//! * structs with named fields (honouring `#[serde(skip)]`),
+//! * structs with named fields (honouring `#[serde(skip)]` and
+//!   `#[serde(skip_serializing_if = "path")]`),
 //! * tuple structs (newtypes serialize transparently, like real serde),
 //! * unit structs,
 //! * enums with unit / tuple / struct variants (externally tagged, the
@@ -22,7 +23,16 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 /// A parsed field of a struct or struct variant.
 struct Field {
     name: String,
+    attrs: FieldAttrs,
+}
+
+/// The `#[serde(...)]` options of one field.
+#[derive(Default)]
+struct FieldAttrs {
     skip: bool,
+    /// `skip_serializing_if` predicate path: the field is left out of the
+    /// serialized map when `path(&field)` is true.
+    skip_if: Option<String>,
 }
 
 /// The shapes of a struct body or an enum variant payload.
@@ -70,30 +80,49 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Consume leading attributes (`#[...]`, including expanded doc comments);
-/// returns whether any of them was `#[serde(skip)]`.
-fn skip_attributes(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) -> bool {
-    let mut has_skip = false;
+/// Consume leading attributes (`#[...]`, including expanded doc comments)
+/// and return the `#[serde(...)]` options among them.
+fn skip_attributes(
+    tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>,
+) -> FieldAttrs {
+    let mut attrs = FieldAttrs::default();
     while matches!(tokens.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
         tokens.next();
         match tokens.next() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
                 if let [TokenTree::Ident(tag), TokenTree::Group(args)] = &inner[..] {
-                    if tag.to_string() == "serde"
-                        && args
-                            .stream()
-                            .into_iter()
-                            .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "skip"))
-                    {
-                        has_skip = true;
+                    if tag.to_string() == "serde" {
+                        parse_serde_args(args.stream(), &mut attrs);
                     }
                 }
             }
             other => panic!("serde_derive: malformed attribute, found {other:?}"),
         }
     }
-    has_skip
+    attrs
+}
+
+/// Read `skip` and `skip_serializing_if = "path"` out of `serde(...)`.
+fn parse_serde_args(args: TokenStream, attrs: &mut FieldAttrs) {
+    let args: Vec<TokenTree> = args.into_iter().collect();
+    for (i, token) in args.iter().enumerate() {
+        let TokenTree::Ident(ident) = token else {
+            continue;
+        };
+        match ident.to_string().as_str() {
+            "skip" => attrs.skip = true,
+            "skip_serializing_if" => match args.get(i + 2) {
+                Some(TokenTree::Literal(lit)) => {
+                    attrs.skip_if = Some(lit.to_string().trim_matches('"').to_string());
+                }
+                other => {
+                    panic!("serde_derive: skip_serializing_if needs a path string, found {other:?}")
+                }
+            },
+            _ => {}
+        }
+    }
 }
 
 /// Consume an optional visibility qualifier (`pub`, `pub(crate)`, ...).
@@ -162,7 +191,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         if tokens.peek().is_none() {
             break;
         }
-        let skip = skip_attributes(&mut tokens);
+        let attrs = skip_attributes(&mut tokens);
         skip_visibility(&mut tokens);
         let name = match tokens.next() {
             Some(TokenTree::Ident(i)) => i.to_string(),
@@ -173,7 +202,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             other => panic!("serde_derive: expected `:` after field `{name}`, found {other:?}"),
         }
         consume_type(&mut tokens);
-        fields.push(Field { name, skip });
+        fields.push(Field { name, attrs });
     }
     fields
 }
@@ -259,11 +288,17 @@ fn gen_struct_serialize(name: &str, fields: &Fields) -> String {
         Fields::Unit => "::serde::Content::Null".to_string(),
         Fields::Named(fields) => {
             let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
-                pushes.push_str(&format!(
+            for f in fields.iter().filter(|f| !f.attrs.skip) {
+                let push = format!(
                     "__m.push((String::from(\"{0}\"), ::serde::Serialize::to_content(&self.{0})));\n",
                     f.name
-                ));
+                );
+                match &f.attrs.skip_if {
+                    Some(path) => {
+                        pushes.push_str(&format!("if !{path}(&self.{}) {{ {push} }}\n", f.name))
+                    }
+                    None => pushes.push_str(&push),
+                }
             }
             format!("let mut __m = Vec::new();\n{pushes}::serde::Content::Map(__m)")
         }
@@ -287,7 +322,7 @@ fn gen_struct_deserialize(name: &str, fields: &Fields) -> String {
         Fields::Named(fields) => {
             let mut inits = String::new();
             for f in fields {
-                if f.skip {
+                if f.attrs.skip {
                     inits.push_str(&format!("{}: Default::default(),\n", f.name));
                 } else {
                     inits.push_str(&format!(
@@ -401,7 +436,7 @@ fn gen_enum_deserialize(name: &str, variants: &[(String, Fields)]) -> String {
                 let inits: Vec<String> = fs
                     .iter()
                     .map(|f| {
-                        if f.skip {
+                        if f.attrs.skip {
                             format!("{}: Default::default()", f.name)
                         } else {
                             format!(
