@@ -1,60 +1,25 @@
 //! # atena-batch
 //!
-//! The batched-inference subsystem. Every lane in training and every
-//! concurrent decode in the server evaluates the same small actor-critic
-//! MLP over one observation at a time; the hot path is therefore dominated
-//! by many tiny matmuls plus their per-call overhead (graph allocation,
-//! weight snapshots). This crate turns N single-row forwards into one
-//! `[B, obs_dim]` forward two ways:
-//!
-//! * [`BatchPlanner`] — a synchronous gather/scatter plan for callers that
-//!   already hold all their observations (lane-batched rollouts): rows are
-//!   packed in a fixed order into `max_batch`-sized chunks, the batched
-//!   forward runs once per chunk, and per-row outputs are handed back in
-//!   exactly the input order.
-//! * [`MicroBatcher`] — a concurrent microbatch queue for callers that
-//!   arrive independently (server decode steps): the first submitter opens
-//!   a batch and arms a flush window, later submitters join until the batch
-//!   is full (flush) or the window elapses (flush). Whichever thread closes
-//!   the batch runs the forward once and publishes per-row results.
+//! Batched inference for lane-batched rollouts. Every training lane
+//! evaluates the same small actor-critic MLP over one observation at a
+//! time; the hot path is therefore dominated by many tiny matmuls plus
+//! their per-call overhead (graph allocation, weight snapshots).
+//! [`BatchPlanner`] turns N single-row forwards into `[B, obs_dim]`
+//! forwards for a caller that already holds all its observations: rows
+//! are packed in a fixed order into `max_batch`-sized chunks, the batched
+//! forward runs once per chunk, and per-row outputs are handed back in
+//! exactly the input order.
 //!
 //! Batching here is **execution-only** under the determinism contract: the
 //! kernels in `atena-nn` guarantee that row `i` of a batched forward is
-//! bit-identical to a one-row forward of the same observation, and both
-//! the planner and the queue key every result to the submitting row — so
-//! transcripts, checkpoints, and HTTP responses cannot depend on batch
-//! size or on which requests happened to coalesce.
-//!
-//! Telemetry (per flush): `batch.occupancy` and `batch.queue_wait_us`
-//! histograms, `batch.flush.full` / `batch.flush.timeout` counters.
+//! bit-identical to a one-row forward of the same observation, and the
+//! planner keys every result to its input row — so transcripts and
+//! checkpoints cannot depend on batch size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use atena_nn::Tensor;
-use atena_telemetry::MetricsRegistry;
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
-
-/// Microbatch queue tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MicrobatchConfig {
-    /// Rows that trigger an immediate (full) flush. Values ≤ 1 mean every
-    /// submission flushes alone — batching effectively off.
-    pub max_batch: usize,
-    /// How long the first row of a batch waits for company before a
-    /// timeout flush.
-    pub window: Duration,
-}
-
-impl Default for MicrobatchConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 8,
-            window: Duration::from_micros(200),
-        }
-    }
-}
 
 /// Pack per-source observation rows into one `[B, obs_dim]` tensor.
 ///
@@ -126,325 +91,11 @@ impl BatchPlanner {
     }
 }
 
-/// Returned to waiters whose batch died before results were published:
-/// the flushing thread panicked mid-forward (or mid-publish), so their
-/// slots will never be filled. The queue itself recovers — the dead cell
-/// was already detached from `open`, and the next submission opens a
-/// fresh batch — so one poisoned flush costs its co-batched requests one
-/// typed error each, never a stalled worker or a wedged queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchAborted;
-
-impl std::fmt::Display for BatchAborted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "microbatch aborted: the flushing peer died mid-flush")
-    }
-}
-
-impl std::error::Error for BatchAborted {}
-
-/// One in-flight microbatch: rows joined so far and, once flushed, the
-/// per-row results for waiters to collect.
-struct CellState<R> {
-    rows: Vec<Vec<f32>>,
-    enqueued: Vec<Instant>,
-    /// Set by the thread that flushes; once true no new rows may join.
-    closed: bool,
-    /// Set when the flusher unwound before publishing; waiters error out
-    /// instead of blocking forever.
-    aborted: bool,
-    /// Published after the batched forward; `None` slots were taken.
-    results: Option<Vec<Option<R>>>,
-}
-
-struct BatchCell<R> {
-    state: Mutex<CellState<R>>,
-    cond: Condvar,
-}
-
-/// A leader/follower microbatch queue.
-///
-/// The first thread to submit opens a batch and waits up to
-/// [`MicrobatchConfig::window`]; followers join the open batch. The batch
-/// is flushed by the follower that fills it (`batch.flush.full`) or by
-/// the leader's timer (`batch.flush.timeout`); the flushing thread runs
-/// the forward once outside all locks and wakes the others.
-///
-/// Lock order is always `open` → `cell.state`, never the reverse.
-///
-/// Lock poisoning is recovered, not propagated: every guard under these
-/// locks is a plain value snapshot that is valid wherever a writer
-/// panicked, and pooled workers sharing a batcher must not turn one
-/// panicked peer into a cascade of poisoned-lock panics.
-pub struct MicroBatcher<R> {
-    open: Mutex<Option<Arc<BatchCell<R>>>>,
-    forward: Box<dyn Fn(&Tensor) -> Vec<R> + Send + Sync>,
-    config: MicrobatchConfig,
-    obs_dim: usize,
-    telemetry: RwLock<Arc<MetricsRegistry>>,
-}
-
-impl<R: Send> MicroBatcher<R> {
-    /// Build a queue over a batched forward mapping `[B, obs_dim]` to one
-    /// output per row (row `i` of the output must correspond to row `i`
-    /// of the input).
-    pub fn new(
-        obs_dim: usize,
-        config: MicrobatchConfig,
-        forward: impl Fn(&Tensor) -> Vec<R> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            open: Mutex::new(None),
-            forward: Box::new(forward),
-            config: MicrobatchConfig {
-                max_batch: config.max_batch.max(1),
-                window: config.window,
-            },
-            obs_dim,
-            telemetry: RwLock::new(atena_telemetry::global_arc()),
-        }
-    }
-
-    /// Point batch metrics at an explicit registry (servers route them to
-    /// their per-instance registry; tests isolate themselves).
-    pub fn reroute_telemetry(&self, registry: &Arc<MetricsRegistry>) {
-        *self
-            .telemetry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Arc::clone(registry);
-    }
-
-    /// The configured flush policy.
-    pub fn config(&self) -> MicrobatchConfig {
-        self.config
-    }
-
-    /// Submit one observation row and block until its result is ready.
-    /// The result is keyed to this row's slot in the batch, so what comes
-    /// back is bit-identical to running the forward on this row alone.
-    ///
-    /// Returns [`BatchAborted`] when the peer that was flushing this row's
-    /// batch panicked before publishing results; the queue itself stays
-    /// healthy and the next submission opens a fresh batch.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != obs_dim`.
-    pub fn submit(&self, row: Vec<f32>) -> Result<R, BatchAborted> {
-        assert_eq!(row.len(), self.obs_dim, "observation width mismatch");
-        let enqueued = Instant::now();
-        if self.config.max_batch <= 1 {
-            // Every batch is full at one row: skip the queue entirely so a
-            // lone submitter never sits out the flush window.
-            let cell = BatchCell {
-                state: Mutex::new(CellState {
-                    rows: Vec::new(),
-                    enqueued: Vec::new(),
-                    closed: true,
-                    aborted: false,
-                    results: None,
-                }),
-                cond: Condvar::new(),
-            };
-            return Ok(self.flush(&cell, vec![row], vec![enqueued], 0, true));
-        }
-        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cell) = open.clone() {
-            // Join the open batch as a follower.
-            let mut st = cell.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let idx = st.rows.len();
-            st.rows.push(row);
-            st.enqueued.push(enqueued);
-            if st.rows.len() >= self.config.max_batch {
-                // We filled it: close, detach, flush.
-                st.closed = true;
-                *open = None;
-                drop(open);
-                let rows = std::mem::take(&mut st.rows);
-                let waits = std::mem::take(&mut st.enqueued);
-                drop(st);
-                // The leader may be in its timed wait; let it move to the
-                // results wait promptly.
-                cell.cond.notify_all();
-                return Ok(self.flush(&cell, rows, waits, idx, true));
-            }
-            drop(open);
-            return Self::await_result(&cell, st, idx);
-        }
-        // Leader: open a fresh batch and arm the window timer.
-        let cell = Arc::new(BatchCell {
-            state: Mutex::new(CellState {
-                rows: vec![row],
-                enqueued: vec![enqueued],
-                closed: false,
-                aborted: false,
-                results: None,
-            }),
-            cond: Condvar::new(),
-        });
-        *open = Some(Arc::clone(&cell));
-        drop(open);
-
-        let deadline = enqueued + self.config.window;
-        let mut st = cell.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if st.closed {
-                // A follower filled the batch and is flushing it.
-                return Self::await_result(&cell, st, 0);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            st = cell
-                .cond
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        // Window elapsed: detach from `open` (respecting open → cell lock
-        // order) and flush whatever joined.
-        drop(st);
-        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
-        let st = cell.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.closed {
-            // Lost the race to a follower that filled the batch just now.
-            drop(open);
-            return Self::await_result(&cell, st, 0);
-        }
-        let mut st = st;
-        st.closed = true;
-        if open.as_ref().is_some_and(|c| Arc::ptr_eq(c, &cell)) {
-            *open = None;
-        }
-        drop(open);
-        let rows = std::mem::take(&mut st.rows);
-        let waits = std::mem::take(&mut st.enqueued);
-        drop(st);
-        Ok(self.flush(&cell, rows, waits, 0, false))
-    }
-
-    /// Run the batched forward outside all locks, publish per-row results,
-    /// wake the waiters, and return the flusher's own result.
-    ///
-    /// The flush is unwind-safe for its waiters: if the forward (or any
-    /// step before results are published) panics, a drop guard marks the
-    /// cell aborted and wakes every waiter, which then returns
-    /// [`BatchAborted`] from [`MicroBatcher::submit`] instead of blocking
-    /// forever on results that will never arrive. The cell was already
-    /// detached from `open` before `flush` is called, so the queue itself
-    /// is never wedged by a dead flusher.
-    fn flush(
-        &self,
-        cell: &BatchCell<R>,
-        rows: Vec<Vec<f32>>,
-        waits: Vec<Instant>,
-        my_idx: usize,
-        full: bool,
-    ) -> R {
-        /// Wakes waiters with an abort verdict if the flush unwinds before
-        /// results are published; disarmed on the success path.
-        struct AbortOnUnwind<'a, R> {
-            cell: &'a BatchCell<R>,
-            telemetry: &'a RwLock<Arc<MetricsRegistry>>,
-            armed: bool,
-        }
-        impl<R> Drop for AbortOnUnwind<'_, R> {
-            fn drop(&mut self) {
-                if !self.armed {
-                    return;
-                }
-                let mut st = self
-                    .cell
-                    .state
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                st.aborted = true;
-                drop(st);
-                self.cell.cond.notify_all();
-                self.telemetry
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .counter("batch.flush.aborted")
-                    .inc();
-            }
-        }
-        let mut guard = AbortOnUnwind {
-            cell,
-            telemetry: &self.telemetry,
-            armed: true,
-        };
-        let flushed = Instant::now();
-        {
-            let t = self
-                .telemetry
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            t.counter(if full {
-                "batch.flush.full"
-            } else {
-                "batch.flush.timeout"
-            })
-            .inc();
-            t.histogram("batch.occupancy").record(rows.len() as f64);
-            let wait_us = t.histogram("batch.queue_wait_us");
-            for w in &waits {
-                wait_us.record(flushed.duration_since(*w).as_micros() as f64);
-            }
-        }
-        let batch = gather(&rows, self.obs_dim);
-        let mut results: Vec<Option<R>> = (self.forward)(&batch).into_iter().map(Some).collect();
-        assert_eq!(
-            results.len(),
-            rows.len(),
-            "batched forward returned {} outputs for {} rows",
-            results.len(),
-            rows.len()
-        );
-        // atena-lint: allow(panic-path) — gather() placed exactly one result per joined row
-        let mine = results[my_idx].take().expect("own result present");
-        let mut st = cell.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.results = Some(results);
-        guard.armed = false;
-        drop(st);
-        cell.cond.notify_all();
-        mine
-    }
-
-    /// Block on the cell until results are published (or the flush is
-    /// aborted), then take slot `idx`.
-    fn await_result(
-        cell: &BatchCell<R>,
-        mut st: std::sync::MutexGuard<'_, CellState<R>>,
-        idx: usize,
-    ) -> Result<R, BatchAborted> {
-        loop {
-            if st.aborted {
-                return Err(BatchAborted);
-            }
-            if let Some(results) = st.results.as_mut() {
-                // atena-lint: allow(panic-path) — each member owns a distinct slot, taken once
-                return Ok(results[idx].take().expect("result taken exactly once"));
-            }
-            st = cell.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-impl<R> std::fmt::Debug for MicroBatcher<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MicroBatcher")
-            .field("obs_dim", &self.obs_dim)
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
 
-    /// Batched "model": each row maps to (row index's sum, first element).
+    /// Batched "model": each row maps to the sum of its elements.
     fn row_sums(batch: &Tensor) -> Vec<f32> {
         (0..batch.rows())
             .map(|r| batch.row(r).iter().sum::<f32>())
@@ -471,154 +122,5 @@ mod tests {
         assert_eq!(planner.max_batch(), 1);
         let out = planner.run(&[vec![2.0], vec![3.0]], row_sums);
         assert_eq!(out, vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn full_flush_returns_each_submitter_its_own_row() {
-        let telemetry = Arc::new(MetricsRegistry::new());
-        let b = Arc::new(MicroBatcher::new(
-            1,
-            MicrobatchConfig {
-                max_batch: 4,
-                // Generous window: the test must coalesce via the barrier,
-                // not via timing luck.
-                window: Duration::from_secs(5),
-            },
-            row_sums,
-        ));
-        b.reroute_telemetry(&telemetry);
-        let barrier = Arc::new(Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let b = Arc::clone(&b);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    (i, b.submit(vec![i as f32]).unwrap())
-                })
-            })
-            .collect();
-        for h in handles {
-            let (i, got) = h.join().unwrap();
-            assert_eq!(got, i as f32, "submitter {i} got someone else's result");
-        }
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("batch.flush.full"), Some(1));
-        assert_eq!(snap.counter("batch.flush.timeout"), None);
-        let occ = snap
-            .histogram("batch.occupancy")
-            .expect("occupancy recorded");
-        assert_eq!(occ.count, 1);
-        assert_eq!(occ.max, 4.0);
-        assert!(
-            snap.histogram("batch.queue_wait_us")
-                .is_some_and(|h| h.count == 4),
-            "one queue-wait sample per row"
-        );
-    }
-
-    #[test]
-    fn lone_submission_flushes_on_timeout() {
-        let telemetry = Arc::new(MetricsRegistry::new());
-        let b = MicroBatcher::new(
-            2,
-            MicrobatchConfig {
-                max_batch: 8,
-                window: Duration::from_micros(50),
-            },
-            row_sums,
-        );
-        b.reroute_telemetry(&telemetry);
-        assert_eq!(b.submit(vec![1.5, 2.5]).unwrap(), 4.0);
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("batch.flush.timeout"), Some(1));
-        assert_eq!(snap.histogram("batch.occupancy").map(|h| h.max), Some(1.0));
-    }
-
-    #[test]
-    fn max_batch_one_never_waits() {
-        let b = MicroBatcher::new(
-            1,
-            MicrobatchConfig {
-                max_batch: 1,
-                window: Duration::from_secs(5),
-            },
-            row_sums,
-        );
-        let start = Instant::now();
-        assert_eq!(b.submit(vec![7.0]).unwrap(), 7.0);
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "max_batch 1 must flush immediately, not wait out the window"
-        );
-    }
-
-    #[test]
-    fn flusher_panic_aborts_waiters_and_queue_recovers() {
-        let telemetry = Arc::new(MetricsRegistry::new());
-        // The forward panics whenever the batch contains a poisoned row,
-        // exactly as a latent engine bug triggered by one hostile request
-        // would: the flushing thread unwinds mid-flush.
-        let b = Arc::new(MicroBatcher::new(
-            1,
-            MicrobatchConfig {
-                max_batch: 4,
-                window: Duration::from_secs(5),
-            },
-            |batch: &Tensor| {
-                if (0..batch.rows()).any(|r| batch.row(r)[0] < 0.0) {
-                    panic!("injected flush fault");
-                }
-                row_sums(batch)
-            },
-        ));
-        b.reroute_telemetry(&telemetry);
-        let barrier = Arc::new(Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let b = Arc::clone(&b);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    // Every row poisoned: whoever flushes, the batch dies.
-                    b.submit(vec![-1.0 - i as f32])
-                })
-            })
-            .collect();
-        let mut panicked = 0usize;
-        let mut aborted = 0usize;
-        for h in handles {
-            match h.join() {
-                Err(_) => panicked += 1,               // the flusher itself
-                Ok(Err(BatchAborted)) => aborted += 1, // its co-batched peers
-                Ok(Ok(v)) => panic!("no result should surface, got {v}"),
-            }
-        }
-        assert_eq!(panicked, 1, "exactly one thread flushed and unwound");
-        assert_eq!(aborted, 3, "every waiter got a typed abort, none stalled");
-        assert_eq!(
-            telemetry.snapshot().counter("batch.flush.aborted"),
-            Some(1),
-            "abort counted once"
-        );
-        // The queue is not wedged: healthy submissions keep working.
-        for i in 0..4 {
-            assert_eq!(b.submit(vec![i as f32]).unwrap(), i as f32);
-        }
-    }
-
-    #[test]
-    fn sequential_submissions_reuse_the_queue() {
-        let b = MicroBatcher::new(
-            1,
-            MicrobatchConfig {
-                max_batch: 1,
-                window: Duration::from_micros(10),
-            },
-            row_sums,
-        );
-        for i in 0..16 {
-            assert_eq!(b.submit(vec![i as f32]).unwrap(), i as f32);
-        }
     }
 }

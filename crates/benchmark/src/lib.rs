@@ -7,7 +7,7 @@
 //!   gold-standard union;
 //! - **T-BLEU-1/2/3** — BLEU over view sequences (clipped n-gram precision
 //!   with brevity penalty);
-//! - **EDA-Sim** — graded sequence similarity per [29]: structural pairwise
+//! - **EDA-Sim** — graded sequence similarity per \[29\]: structural pairwise
 //!   view similarity combined by global alignment, maximized over golds;
 //! - **insight coverage** — the automatic stand-in for Figure 4b's
 //!   gathered-insights count;

@@ -18,7 +18,7 @@ pub fn precision(generated: &[String], golds: &[Vec<String>]) -> f64 {
     hits as f64 / gen_set.len() as f64
 }
 
-/// T-BLEU-n (paper §6.3, metrics 2–4): BLEU [33] over view sequences —
+/// T-BLEU-n (paper §6.3, metrics 2–4): BLEU \[33\] over view sequences —
 /// clipped n-gram precision against the gold set, geometric mean over
 /// orders `1..=n`, with the standard brevity penalty. Stricter than
 /// Precision since it accounts for view prevalence and order.

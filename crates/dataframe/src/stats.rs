@@ -26,7 +26,7 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Entropy normalized to [0,1] by the maximum achievable entropy
+    /// Entropy normalized to \[0,1\] by the maximum achievable entropy
     /// (`log2(n_distinct)`), or 0 for constant columns.
     pub fn normalized_entropy(&self) -> f64 {
         if self.n_distinct <= 1 {

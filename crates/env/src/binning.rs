@@ -22,7 +22,7 @@ impl FrequencyBins {
     /// A token with frequency `f` (out of max frequency `f_max`) lands in
     /// bin `floor(B · ln(f) / ln(f_max + 1))`, clamped to `B-1` — a
     /// logarithmic division as suggested by Zipf's-law-distributed token
-    /// frequencies (paper cites [31]).
+    /// frequencies (paper cites \[31\]).
     pub fn build(column: &Column, n_bins: usize) -> Self {
         assert!(n_bins > 0, "need at least one bin");
         let counts = column.value_counts();

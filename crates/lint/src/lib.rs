@@ -20,8 +20,8 @@
 //!   the registered counter-derived stream constructors in
 //!   `crates/runtime/src/lib.rs` (ENV/INIT/EVAL tags).
 //! * **panic-path** — `unwrap`/`expect`/`panic!`/unguarded indexing in the
-//!   server request path and batch leader/follower code, where a panic
-//!   poisons a pooled worker.
+//!   server request path and the batch planner, where a panic poisons a
+//!   pooled worker.
 //! * **unsafe-inventory** — `unsafe` outside the allowlisted SIMD/signal
 //!   modules, `unsafe` without a `// SAFETY:` comment, and crate roots
 //!   missing `#![forbid(unsafe_code)]`.
@@ -342,9 +342,9 @@ struct BaselineEntryJson {
 // ---------------------------------------------------------------------------
 
 /// Crate tiers, for reporting. Rule applicability is driven by the explicit
-/// sets in [`Config`]; a crate can be semantic for one rule and
-/// execution-exempt for another (e.g. `batch`: hash-order applies, its
-/// `Instant` flush deadlines do not count as wall-clock violations).
+/// per-rule sets in [`Config`], so a crate's standing under one rule does
+/// not decide another (e.g. `runtime` is exempt from wall-clock, and its
+/// `lib.rs` is also the one file where rng-discipline allows seeding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     Semantic,
@@ -386,14 +386,7 @@ impl Config {
     pub fn workspace_default() -> Config {
         Config {
             semantic_crates: vec!["dataframe", "env", "reward", "rl", "core", "batch"],
-            wallclock_exempt_crates: vec![
-                "telemetry",
-                "bench",
-                "benchmark",
-                "runtime",
-                "server",
-                "batch",
-            ],
+            wallclock_exempt_crates: vec!["telemetry", "bench", "benchmark", "runtime", "server"],
             rng_allowed_files: vec!["crates/runtime/src/lib.rs"],
             panic_path_files: vec![
                 "crates/server/src/lib.rs",

@@ -10,13 +10,12 @@
 //! serving many datasets through one engine composes soundly with the
 //! determinism contract.
 
-use atena_batch::{MicroBatcher, MicrobatchConfig};
 use atena_core::{Notebook, NotebookSummary, PolicyBundle};
 use atena_dataframe::DataFrame;
 use atena_env::{DisplayCache, EdaEnv};
 use atena_nn::Tensor;
-use atena_rl::{Policy, PolicyRow, TwofoldPolicy};
-use atena_telemetry::{MetricsRegistry, SpanGuard};
+use atena_rl::{Policy, TwofoldPolicy};
+use atena_telemetry::SpanGuard;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -26,12 +25,14 @@ use std::sync::Arc;
 /// every softmax segment is selected with overwhelming probability.
 const DECODE_TEMPERATURE: f32 = 1e-3;
 
-/// Capacity of the engine's display cache. Requests against one bundle
-/// mostly share a handful of datasets, and greedy decodes at nearby seeds
-/// replay mostly the same operation paths, so cross-request reuse is high;
-/// sized generously because entries are `Arc`-backed views, not copies of
-/// the column data. Entries are keyed by dataset fingerprint, so multiple
-/// registry datasets share the cache without interference.
+/// Capacity of the engine's display cache, in entries. Requests against
+/// one bundle mostly share a handful of datasets, and greedy decodes at
+/// nearby seeds replay mostly the same operation paths, so cross-request
+/// reuse is high. The cap counts entries, not bytes: a filtered display
+/// holds its own copy of every column (`DataFrame::filter` gathers each
+/// one with `take`), so a full cache costs up to this many frame copies.
+/// Entries are keyed by dataset fingerprint, so multiple registry datasets
+/// share the cache without interference.
 const DISPLAY_CACHE_CAPACITY: usize = 4096;
 
 /// Ceiling on per-request episode length, to bound worst-case work.
@@ -108,12 +109,6 @@ pub struct Engine {
     policy: Arc<TwofoldPolicy>,
     frame: Arc<DataFrame>,
     display_cache: Arc<DisplayCache>,
-    /// Microbatch queue coalescing concurrent decode steps into one
-    /// `[B, obs_dim]` forward. `None` when batching is off (`max_batch`
-    /// ≤ 1). Batching is execution-only: responses are bit-identical
-    /// because each request samples its own RNG from its slot's
-    /// [`PolicyRow`], exactly as the serial act path would.
-    batcher: Option<Arc<MicroBatcher<PolicyRow>>>,
 }
 
 impl Engine {
@@ -136,44 +131,7 @@ impl Engine {
             policy: Arc::new(policy),
             frame: Arc::new(frame),
             display_cache: Arc::new(DisplayCache::new(DISPLAY_CACHE_CAPACITY)),
-            batcher: None,
         })
-    }
-
-    /// Enable microbatched decoding: concurrent requests' per-step
-    /// forwards are coalesced into one batched pass (up to
-    /// `config.max_batch` rows, waiting at most `config.window` for
-    /// company). `max_batch` ≤ 1 leaves the serial path in place.
-    pub fn with_microbatch(mut self, config: MicrobatchConfig) -> Self {
-        if config.max_batch <= 1 {
-            self.batcher = None;
-            return self;
-        }
-        let policy = Arc::clone(&self.policy);
-        let obs_dim = policy.obs_dim();
-        self.batcher = Some(Arc::new(MicroBatcher::new(obs_dim, config, move |batch| {
-            // The load-time probe pinned the weight shapes and the queue
-            // asserts row widths, so this forward cannot fail. The closure's
-            // signature leaves no error channel, and the probe makes this
-            // genuinely unreachable rather than a request-dependent panic.
-            policy
-                .forward_rows(batch, DECODE_TEMPERATURE)
-                // atena-lint: allow(panic-path) — shape pinned by the Engine::new probe
-                .unwrap_or_else(|e| panic!("probed policy rejected batch: {e}"))
-        })));
-        self
-    }
-
-    /// The microbatch queue, when batching is enabled.
-    pub fn batcher(&self) -> Option<&Arc<MicroBatcher<PolicyRow>>> {
-        self.batcher.as_ref()
-    }
-
-    /// Point the engine's batch metrics at an explicit registry.
-    pub fn reroute_telemetry(&self, registry: &Arc<MetricsRegistry>) {
-        if let Some(b) = &self.batcher {
-            b.reroute_telemetry(registry);
-        }
     }
 
     /// The display cache shared across this engine's decode requests.
@@ -256,26 +214,19 @@ impl Engine {
     /// for a given request: the environment seed is fixed and the decode
     /// temperature is ≈0.
     pub fn decode(&self, request: &NotebookRequest) -> Result<NotebookResponse, EngineError> {
-        self.decode_traced(request, None)
-    }
-
-    /// [`Engine::decode`] with optional span emission: when `parent` is an
-    /// open span, each decode step records `nn.forward` (policy inference)
-    /// and `env.step` (display materialization) children under it. Tracing
-    /// is execution-only — the decoded notebook is identical either way.
-    pub fn decode_traced(
-        &self,
-        request: &NotebookRequest,
-        parent: Option<&SpanGuard<'_, '_>>,
-    ) -> Result<NotebookResponse, EngineError> {
         let frame = Arc::clone(&self.frame);
-        self.decode_with_frame(&frame, request, parent)
+        self.decode_with_frame(&frame, request, None)
     }
 
     /// Greedy-decode one notebook over an explicit frame (which must have
     /// passed [`Engine::check_frame`]). The engine's display cache is
     /// shared across datasets — cache keys include the dataset fingerprint,
     /// so entries from different datasets can never alias.
+    ///
+    /// When `parent` is an open span, each decode step records `nn.forward`
+    /// (policy inference) and `env.step` (display materialization) children
+    /// under it. Tracing is execution-only — the decoded notebook is
+    /// identical either way.
     pub fn decode_with_frame(
         &self,
         frame: &Arc<DataFrame>,
@@ -295,16 +246,7 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(request.seed);
         while !env.done() {
             let obs = env.observation();
-            let step = if let Some(batcher) = &self.batcher {
-                let _s = parent.map(|p| p.child("nn.forward_batched"));
-                // An aborted batch (the flushing peer died mid-flush) costs
-                // this request a typed 500; the queue itself recovers and
-                // the next submission opens a fresh batch.
-                let row = batcher
-                    .submit(obs)
-                    .map_err(|e| EngineError::Internal(e.to_string()))?;
-                row.sample(&mut rng)
-            } else {
+            let step = {
                 let _s = parent.map(|p| p.child("nn.forward"));
                 self.policy.act(&obs, DECODE_TEMPERATURE, &mut rng)
             };
@@ -374,32 +316,6 @@ mod tests {
             .decode(&e.validate("tiny", Some(3), Some(8)).unwrap())
             .unwrap();
         assert_eq!(other.notebook.cells.len(), 3);
-    }
-
-    #[test]
-    fn batched_decode_is_bit_identical_to_serial() {
-        let serial = engine();
-        let batched = engine().with_microbatch(MicrobatchConfig {
-            max_batch: 8,
-            window: std::time::Duration::from_micros(50),
-        });
-        assert!(batched.batcher().is_some());
-        for seed in [0u64, 7, 11] {
-            let req = serial.validate("tiny", Some(4), Some(seed)).unwrap();
-            let a = serial.decode(&req).unwrap();
-            let b = batched.decode(&req).unwrap();
-            assert_eq!(
-                serde_json::to_string(&a.notebook).unwrap(),
-                serde_json::to_string(&b.notebook).unwrap(),
-                "seed {seed} diverged under batching"
-            );
-        }
-        // max_batch ≤ 1 keeps the serial path (no queue to wait on).
-        let off = engine().with_microbatch(MicrobatchConfig {
-            max_batch: 1,
-            window: std::time::Duration::from_secs(5),
-        });
-        assert!(off.batcher().is_none());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub enum ParseError {
     Closed,
     /// Malformed request line or headers → 400.
     BadRequest(String),
-    /// Head grew past [`MAX_HEAD_BYTES`] → 431.
+    /// Head grew past `MAX_HEAD_BYTES` (16 KiB) → 431.
     HeadTooLarge,
     /// Declared body exceeds the configured cap → 413.
     BodyTooLarge {

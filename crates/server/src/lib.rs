@@ -86,14 +86,6 @@ pub struct ServerConfig {
     pub registry: RegistryConfig,
     /// Per-tenant admission control for mutating requests.
     pub tenant_limits: TenantLimits,
-    /// Rows per microbatched decode forward: concurrent requests' decode
-    /// steps are coalesced into one `[B, obs_dim]` pass. `1` (the
-    /// default) disables the queue. Execution-only — responses are
-    /// bit-identical at any batch size (DESIGN.md §4l).
-    pub max_batch: usize,
-    /// How long the first decode step of a batch waits for company before
-    /// a timeout flush.
-    pub batch_window: Duration,
 }
 
 impl Default for ServerConfig {
@@ -107,8 +99,6 @@ impl Default for ServerConfig {
             slow_threshold: Duration::from_millis(500),
             registry: RegistryConfig::default(),
             tenant_limits: TenantLimits::default(),
-            max_batch: 1,
-            batch_window: Duration::from_micros(200),
         }
     }
 }
@@ -191,18 +181,17 @@ impl Server {
     }
 
     /// [`Server::bind`] with an explicit metrics registry (tests use a
-    /// private one per server to stay isolated).
+    /// private one per server to stay isolated). The server's own metrics,
+    /// the engine's display cache (`env.cache.*`), the dataset registry's
+    /// and admission's go there; each decode's environment still counts
+    /// `env.op.*` and `env.step_secs` in the process-wide registry.
     pub fn bind_with_telemetry(
         config: ServerConfig,
         engine: Engine,
         telemetry: Arc<MetricsRegistry>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let engine = engine.with_microbatch(atena_batch::MicrobatchConfig {
-            max_batch: config.max_batch,
-            window: config.batch_window,
-        });
-        engine.reroute_telemetry(&telemetry);
+        engine.display_cache().reroute_telemetry(&telemetry);
         let registry = Arc::new(DatasetRegistry::new(config.registry));
         registry.reroute_telemetry(&telemetry);
         // The bundle's baked-in dataset is pinned: always resolvable by id,

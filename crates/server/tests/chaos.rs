@@ -1,11 +1,11 @@
 //! The socket chaos suite (DESIGN.md §4n): byzantine clients against a
 //! live server. Every hostile frame class is pinned to its exact status
 //! code and `server.http.*` counter deltas; slow-loris dribblers are cut
-//! off by the per-request deadline; clients vanishing mid-request,
-//! mid-response or mid-microbatch cost nobody else a byte; and a soak
-//! sustains all of it against a registry evicting at capacity, with flat
-//! RSS and monotone counters. Throughout, good clients must get 200s
-//! carrying exactly the bytes of the offline decode.
+//! off by the per-request deadline; clients vanishing mid-request or
+//! mid-response cost nobody else a byte; and a soak sustains all of it
+//! against a registry evicting at capacity, with flat RSS and monotone
+//! counters. Throughout, good clients must get 200s carrying exactly the
+//! bytes of the offline decode.
 //!
 //! The soak runs for `ATENA_SOAK_SECS` seconds (default 8):
 //!
@@ -28,15 +28,16 @@ mod common;
 
 use common::{
     base, connect, header, metrics, raw_request, read_response, request_with, tiny_bundle,
-    try_parse_response, try_request, Response,
+    try_parse_response, try_request,
 };
 
 /// Grace added to the server's per-request deadline when asserting that
 /// an attack was cut off in time (scheduling jitter, loopback RTT).
 const DEADLINE_GRACE: Duration = Duration::from_millis(1500);
 
-/// The tenant of every good client. No attacker sends it, so per-tenant
-/// admission never sheds a good request: at most two are in flight.
+/// The tenant of every good client. No attacker sends it, and no test puts
+/// more good requests in flight than its server's per-tenant cap, so
+/// admission never sheds a good request.
 const GOOD_TENANT: &str = "good";
 
 /// A valid request with garbage pipelined behind it.
@@ -53,16 +54,14 @@ fn spawn_server(
     (server.spawn().unwrap(), addr, telemetry)
 }
 
-/// A hostile-friendly server: short deadline, microbatching on, a tiny
-/// registry budget and tight per-tenant admission.
+/// A hostile-friendly server: short deadline, a tiny registry budget and
+/// tight per-tenant admission.
 fn hostile_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 4,
         cache_size: 8,
         request_timeout: Duration::from_millis(700),
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
         registry: RegistryConfig {
             budget_bytes: 2048,
             max_datasets: 4,
@@ -493,104 +492,56 @@ fn slow_loris_dribble_is_cut_at_the_request_deadline() {
     handle.shutdown();
 }
 
-/// The N−1 regression: one of N concurrent clients on a *microbatched*
-/// server vanishes mid-request/mid-flush. The surviving N−1 responses
-/// must stay byte-identical to a serial (unbatched) server's, and the
-/// batch queue must keep working afterwards — including for the
-/// victim's own request when it is retried.
+/// The N−1 regression: one of six concurrent clients vanishes right
+/// after sending its request, while its decode is in flight. The five
+/// surviving responses must stay byte-identical to the offline decode,
+/// and the victim's own request must decode to the same bytes when it is
+/// retried.
 #[test]
-fn follower_disconnect_mid_batch_leaves_other_responses_byte_identical() {
+fn client_vanishing_mid_request_leaves_other_responses_byte_identical() {
     let bundle = tiny_bundle();
-    let spawn = |max_batch: usize| {
-        spawn_server(
-            ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: 8,
-                cache_size: 0, // every request decodes through the batcher
-                max_batch,
-                batch_window: Duration::from_millis(2),
-                ..Default::default()
-            },
-            Engine::new(bundle.clone(), base()).unwrap(),
-        )
-    };
-    let (serial_handle, serial_addr, _) = spawn(1);
-    let (batched_handle, batched_addr, batched_telemetry) = spawn(4);
+    let shots = GoodShot::for_seeds(&bundle, 0..6);
+    let (handle, addr, telemetry) = spawn_server(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 8,
+            cache_size: 0, // every request decodes
+            ..Default::default()
+        },
+        Engine::new(bundle, base()).unwrap(),
+    );
 
-    let request_for = |seed: u64| {
-        let body = format!(r#"{{"dataset":"tiny","episode_len":6,"seed":{seed}}}"#);
-        raw_request(
-            "POST",
-            "/v1/notebook",
-            &[("Content-Type", "application/json")],
-            &body,
-        )
-    };
-
-    // Reference bytes from the serial server.
-    let seeds: Vec<u64> = (0..6).collect();
-    let reference: Vec<String> = seeds
+    // The victim sends its request and vanishes at once, so the server
+    // decodes for a peer that is gone and its response write fails or
+    // lands nowhere.
+    let victim = 2;
+    let clients: Vec<_> = shots
         .iter()
-        .map(|&s| {
-            let (status, _, body) = try_request(serial_addr, request_for(s).as_bytes()).unwrap();
-            assert_eq!(status, 200, "{body}");
-            body
-        })
-        .collect();
-
-    // N concurrent clients against the batched server; the victim (seed
-    // 2) sends its request and immediately vanishes, so its in-flight
-    // decode steps die somewhere between queue and response write.
-    let victim_seed = 2u64;
-    let clients: Vec<_> = seeds
-        .iter()
-        .map(|&s| {
-            let raw = request_for(s);
+        .cloned()
+        .enumerate()
+        .map(|(i, shot)| {
             std::thread::spawn(move || {
-                let mut stream = connect(batched_addr);
-                stream.write_all(raw.as_bytes()).unwrap();
-                if s == victim_seed {
-                    drop(stream); // vanish mid-batch
-                    return None;
+                if i == victim {
+                    // The stream drops at the end of this statement.
+                    connect(addr).write_all(shot.raw.as_bytes()).unwrap();
+                    return Ok(());
                 }
-                Some(read_response(&mut stream).expect("survivor got a response"))
+                shot.fire(addr)
             })
         })
         .collect();
-    let results: Vec<Option<Response>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-    for (i, result) in results.iter().enumerate() {
-        let seed = seeds[i];
-        if seed == victim_seed {
-            assert!(result.is_none());
-            continue;
+    for (i, client) in clients.into_iter().enumerate() {
+        if let Err(e) = client.join().unwrap() {
+            panic!("survivor {i}: {e}");
         }
-        let (status, _, body) = result.as_ref().unwrap();
-        assert_eq!(*status, 200, "seed {seed}: {body}");
-        assert_eq!(
-            body, &reference[i],
-            "seed {seed}: survivor diverged from the serial server"
-        );
     }
 
-    // The queue is not wedged and the victim's request still decodes to
-    // the same bytes when retried on a fresh connection.
-    let (status, _, body) = try_request(batched_addr, request_for(victim_seed).as_bytes()).unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(
-        body, reference[victim_seed as usize],
-        "retried victim request diverged"
-    );
+    // The victim's request still decodes to the same bytes when retried
+    // on a fresh connection, and no worker died along the way.
+    shots[victim].fire(addr).expect("retried victim request");
+    assert_eq!(telemetry.snapshot().counter("server.pool.panics"), None);
 
-    // The batcher actually ran (this test is about batched flushes), and
-    // no worker died doing it.
-    let snap = batched_telemetry.snapshot();
-    let flushes = snap.counter("batch.flush.full").unwrap_or(0)
-        + snap.counter("batch.flush.timeout").unwrap_or(0);
-    assert!(flushes > 0, "decodes never went through the microbatcher");
-    assert_eq!(snap.counter("server.pool.panics"), None);
-
-    serial_handle.shutdown();
-    batched_handle.shutdown();
+    handle.shutdown();
 }
 
 /// Counters the soak's sampler requires to never go backwards.
@@ -606,9 +557,9 @@ const MONOTONE_COUNTERS: &[&str] = &[
 
 /// Mixed good and byzantine traffic for `ATENA_SOAK_SECS` (default 8 s):
 /// two good clients cycling more seeds than the response cache holds (so
-/// they decode, microbatched, under attack), a fast byzantine loop, a
-/// slow-loris dribbler, and an upload churner keeping the registry
-/// evicting at capacity. A sampler scrapes `/v1/metrics` every 500 ms.
+/// they decode under attack), a fast byzantine loop, a slow-loris
+/// dribbler, and an upload churner keeping the registry evicting at
+/// capacity. A sampler scrapes `/v1/metrics` every 500 ms.
 /// Every good response must be the offline bytes, RSS must stay within
 /// 64 MiB of its first sample, sampled counters must never go backwards,
 /// and evictions must advance.

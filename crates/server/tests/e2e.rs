@@ -206,13 +206,12 @@ fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
 /// order at capacity 2, monotone hit/miss counters, and byte-identical
 /// responses before and after eviction. Also asserts the engine's display
 /// cache (shared across requests) accumulates hits as decodes replay
-/// operation paths.
+/// operation paths, and that `bind_with_telemetry` routes its
+/// `env.cache.*` counters to the server's own registry.
 #[test]
 fn response_cache_lru_semantics_over_http() {
     let engine = Engine::new(tiny_bundle(), base()).unwrap();
     let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    // Surface the display cache's env.cache.* counters on /v1/metrics.
-    engine.display_cache().reroute_telemetry(&telemetry);
     let server = Server::bind_with_telemetry(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -972,77 +971,6 @@ fn tenant_admission_throttles_hog_not_others() {
     assert!(m["counters"]["server.http.throttled"].as_u64().unwrap() >= 1);
 
     handle.shutdown();
-}
-
-#[test]
-fn microbatched_server_responses_match_serial_server() {
-    // The batching half of the determinism contract over real sockets: a
-    // server coalescing concurrent decode steps into batched forwards
-    // returns byte-identical notebook JSON to an unbatched server, and
-    // surfaces the batch telemetry.
-    let bundle = tiny_bundle();
-    let spawn = |max_batch: usize| {
-        let engine = Engine::new(bundle.clone(), base()).unwrap();
-        let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-        let server = Server::bind_with_telemetry(
-            ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: 4,
-                cache_size: 0, // force every request through the decoder
-                max_batch,
-                batch_window: Duration::from_millis(2),
-                ..Default::default()
-            },
-            engine,
-            Arc::clone(&telemetry),
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap();
-        (server.spawn().unwrap(), addr, telemetry)
-    };
-    let (serial_handle, serial_addr, _) = spawn(1);
-    let (batched_handle, batched_addr, batched_telemetry) = spawn(8);
-
-    let seeds: Vec<u64> = (0..8).collect();
-    let serial: Vec<String> = seeds
-        .iter()
-        .map(|s| {
-            let body = format!(r#"{{"dataset":"tiny","episode_len":4,"seed":{s}}}"#);
-            let (status, _, resp) = post_notebook(serial_addr, &body);
-            assert_eq!(status, 200, "{resp}");
-            resp
-        })
-        .collect();
-    // Hit the batched server with all seeds concurrently so decode steps
-    // actually share flushes.
-    let clients: Vec<_> = seeds
-        .iter()
-        .map(|&s| {
-            std::thread::spawn(move || {
-                let body = format!(r#"{{"dataset":"tiny","episode_len":4,"seed":{s}}}"#);
-                let (status, _, resp) = post_notebook(batched_addr, &body);
-                assert_eq!(status, 200, "{resp}");
-                resp
-            })
-        })
-        .collect();
-    let batched: Vec<String> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-    assert_eq!(batched, serial, "batched responses diverged from serial");
-
-    let snap = batched_telemetry.snapshot();
-    let occupancy = snap
-        .histogram("batch.occupancy")
-        .expect("batched server records occupancy");
-    assert!(occupancy.count > 0);
-    let flushes = snap.counter("batch.flush.full").unwrap_or(0)
-        + snap.counter("batch.flush.timeout").unwrap_or(0);
-    assert_eq!(flushes, occupancy.count, "one occupancy sample per flush");
-    assert!(
-        snap.histogram("batch.queue_wait_us").is_some(),
-        "queue-wait histogram missing"
-    );
-    serial_handle.shutdown();
-    batched_handle.shutdown();
 }
 
 #[test]

@@ -210,7 +210,7 @@ pub mod prop {
         use rand::Rng;
         use std::ops::Range;
 
-        /// Length specification for [`vec`]: a fixed `usize` or `lo..hi`.
+        /// Length specification for [`vec()`]: a fixed `usize` or `lo..hi`.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,

@@ -8,6 +8,27 @@
 //! and enough impls for the primitive/container types that appear in the
 //! workspace's config, checkpoint, and report structs.
 //!
+//! Any other `#[serde(...)]` option fails the build instead of being
+//! silently ignored. This struct derives:
+//!
+//! ```
+//! #[derive(serde::Serialize)]
+//! struct S {
+//!     a: u8,
+//! }
+//! ```
+//!
+//! and the same struct with a `rename` the shim does not implement does
+//! not compile:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct S {
+//!     #[serde(rename = "b")]
+//!     a: u8,
+//! }
+//! ```
+//!
 //! Instead of serde's visitor-based zero-copy data model, everything funnels
 //! through one self-describing tree, [`Content`] — the `serde_json` shim
 //! renders/parses that tree as JSON. External enum tagging and newtype

@@ -5,16 +5,20 @@
 //! `syn`/`quote`; instead this crate walks the raw [`proc_macro`] token
 //! stream directly. It supports exactly the shapes the workspace derives on:
 //!
-//! * structs with named fields (honouring `#[serde(skip)]` and
-//!   `#[serde(skip_serializing_if = "path")]`),
+//! * structs with named fields,
 //! * tuple structs (newtypes serialize transparently, like real serde),
 //! * unit structs,
 //! * enums with unit / tuple / struct variants (externally tagged, the
 //!   real-serde default JSON layout).
 //!
-//! Generics are intentionally unsupported — no derived type in the
-//! workspace is generic — and hitting one fails the build loudly rather
-//! than silently producing wrong code.
+//! The only `#[serde(...)]` options are `skip` and
+//! `skip_serializing_if = "path"`, on named fields of structs and struct
+//! variants. Any other option, and any option on a container, a variant
+//! or a tuple field, fails the build: real serde accepts them, so an
+//! ignored one would compile and then write different JSON. Generics are
+//! unsupported for the same reason — no derived type in the workspace is
+//! generic — and hitting one fails the build loudly rather than silently
+//! producing wrong code.
 
 #![forbid(unsafe_code)]
 
@@ -82,7 +86,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 /// Consume leading attributes (`#[...]`, including expanded doc comments)
 /// and return the `#[serde(...)]` options among them.
-fn skip_attributes(
+fn field_attributes(
     tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>,
 ) -> FieldAttrs {
     let mut attrs = FieldAttrs::default();
@@ -103,24 +107,35 @@ fn skip_attributes(
     attrs
 }
 
-/// Read `skip` and `skip_serializing_if = "path"` out of `serde(...)`.
+/// Consume the leading attributes of a container, a variant or a tuple
+/// field, where the shim implements no `#[serde(...)]` option at all.
+fn plain_attributes(
+    tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>,
+    position: &str,
+) {
+    let attrs = field_attributes(tokens);
+    if attrs.skip || attrs.skip_if.is_some() {
+        panic!("serde_derive shim: #[serde(...)] options are not supported on {position}");
+    }
+}
+
+/// Read `skip` and `skip_serializing_if = "path"` out of `serde(...)`;
+/// any other option panics.
 fn parse_serde_args(args: TokenStream, attrs: &mut FieldAttrs) {
     let args: Vec<TokenTree> = args.into_iter().collect();
-    for (i, token) in args.iter().enumerate() {
-        let TokenTree::Ident(ident) = token else {
-            continue;
-        };
-        match ident.to_string().as_str() {
-            "skip" => attrs.skip = true,
-            "skip_serializing_if" => match args.get(i + 2) {
-                Some(TokenTree::Literal(lit)) => {
-                    attrs.skip_if = Some(lit.to_string().trim_matches('"').to_string());
-                }
-                other => {
-                    panic!("serde_derive: skip_serializing_if needs a path string, found {other:?}")
-                }
-            },
-            _ => {}
+    for option in args.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+        match option {
+            [] => {} // trailing comma
+            [TokenTree::Ident(i)] if i.to_string() == "skip" => attrs.skip = true,
+            [TokenTree::Ident(i), TokenTree::Punct(eq), TokenTree::Literal(path)]
+                if i.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+            {
+                attrs.skip_if = Some(path.to_string().trim_matches('"').to_string());
+            }
+            other => panic!(
+                "serde_derive shim: unsupported #[serde] option `{}`",
+                other.iter().cloned().collect::<TokenStream>()
+            ),
         }
     }
 }
@@ -140,7 +155,7 @@ fn skip_visibility(tokens: &mut std::iter::Peekable<proc_macro::token_stream::In
 
 fn parse_item(input: TokenStream) -> Item {
     let mut tokens = input.into_iter().peekable();
-    skip_attributes(&mut tokens);
+    plain_attributes(&mut tokens, "a container");
     skip_visibility(&mut tokens);
 
     let kind = match tokens.next() {
@@ -191,7 +206,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         if tokens.peek().is_none() {
             break;
         }
-        let attrs = skip_attributes(&mut tokens);
+        let attrs = field_attributes(&mut tokens);
         skip_visibility(&mut tokens);
         let name = match tokens.next() {
             Some(TokenTree::Ident(i)) => i.to_string(),
@@ -229,7 +244,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     let mut tokens = stream.into_iter().peekable();
     let mut count = 0usize;
     while tokens.peek().is_some() {
-        skip_attributes(&mut tokens);
+        plain_attributes(&mut tokens, "a tuple field");
         skip_visibility(&mut tokens);
         if tokens.peek().is_none() {
             break; // trailing comma
@@ -247,7 +262,7 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, Fields)> {
         if tokens.peek().is_none() {
             break;
         }
-        skip_attributes(&mut tokens);
+        plain_attributes(&mut tokens, "a variant");
         let name = match tokens.next() {
             Some(TokenTree::Ident(i)) => i.to_string(),
             other => panic!("serde_derive: expected variant name, found {other:?}"),
@@ -283,25 +298,29 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, Fields)> {
 // Code generation
 // ---------------------------------------------------------------------------
 
+/// An expression building the `Content::Map` of named fields, honouring
+/// `skip` and `skip_serializing_if`; `value` renders a field name as a
+/// reference to that field's value.
+fn gen_field_map(fields: &[Field], value: impl Fn(&str) -> String) -> String {
+    let mut pushes = String::new();
+    for f in fields.iter().filter(|f| !f.attrs.skip) {
+        let v = value(&f.name);
+        let push = format!(
+            "__m.push((String::from(\"{}\"), ::serde::Serialize::to_content({v})));\n",
+            f.name
+        );
+        match &f.attrs.skip_if {
+            Some(path) => pushes.push_str(&format!("if !{path}({v}) {{ {push} }}\n")),
+            None => pushes.push_str(&push),
+        }
+    }
+    format!("{{ let mut __m = Vec::new();\n{pushes}::serde::Content::Map(__m) }}")
+}
+
 fn gen_struct_serialize(name: &str, fields: &Fields) -> String {
     let body = match fields {
         Fields::Unit => "::serde::Content::Null".to_string(),
-        Fields::Named(fields) => {
-            let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.attrs.skip) {
-                let push = format!(
-                    "__m.push((String::from(\"{0}\"), ::serde::Serialize::to_content(&self.{0})));\n",
-                    f.name
-                );
-                match &f.attrs.skip_if {
-                    Some(path) => {
-                        pushes.push_str(&format!("if !{path}(&self.{}) {{ {push} }}\n", f.name))
-                    }
-                    None => pushes.push_str(&push),
-                }
-            }
-            format!("let mut __m = Vec::new();\n{pushes}::serde::Content::Map(__m)")
-        }
+        Fields::Named(fields) => gen_field_map(fields, |f| format!("&self.{f}")),
         Fields::Tuple(1) => "::serde::Serialize::to_content(&self.0)".to_string(),
         Fields::Tuple(n) => {
             let items: Vec<String> = (0..*n)
@@ -384,21 +403,19 @@ fn gen_enum_serialize(name: &str, variants: &[(String, Fields)]) -> String {
                 ));
             }
             Fields::Named(fs) => {
-                let binds: Vec<String> = fs.iter().map(|f| f.name.clone()).collect();
-                let items: Vec<String> = fs
+                // Skipped fields stay unbound (no unused-variable warning);
+                // `..` covers them.
+                let binds: Vec<&str> = fs
                     .iter()
-                    .map(|f| {
-                        format!(
-                            "(String::from(\"{0}\"), ::serde::Serialize::to_content({0}))",
-                            f.name
-                        )
-                    })
+                    .filter(|f| !f.attrs.skip)
+                    .map(|f| f.name.as_str())
+                    .chain([".."])
                     .collect();
                 arms.push_str(&format!(
                     "{name}::{vname} {{ {} }} => ::serde::Content::Map(vec![(String::from(\"{vname}\"), \
-                     ::serde::Content::Map(vec![{}]))]),\n",
+                     {})]),\n",
                     binds.join(", "),
-                    items.join(", ")
+                    gen_field_map(fs, str::to_string)
                 ));
             }
         }

@@ -485,6 +485,44 @@ mod tests {
     }
 
     #[test]
+    fn struct_variant_skips_skipped_fields_both_ways() {
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        enum E {
+            V {
+                shown: u8,
+                #[serde(skip)]
+                hidden: u8,
+                #[serde(skip_serializing_if = "Option::is_none")]
+                maybe: Option<u8>,
+            },
+        }
+        let v = E::V {
+            shown: 1,
+            hidden: 7,
+            maybe: None,
+        };
+        let json = to_string(&v).unwrap();
+        assert_eq!(json, r#"{"V":{"shown":1}}"#);
+        let back: E = from_str(&json).unwrap();
+        assert_eq!(
+            back,
+            E::V {
+                shown: 1,
+                hidden: 0,
+                maybe: None
+            }
+        );
+        let some = E::V {
+            shown: 1,
+            hidden: 0,
+            maybe: Some(2),
+        };
+        let json = to_string(&some).unwrap();
+        assert_eq!(json, r#"{"V":{"shown":1,"maybe":2}}"#);
+        assert_eq!(from_str::<E>(&json).unwrap(), some);
+    }
+
+    #[test]
     fn value_compares_with_str() {
         let v: Value = from_str("{\"dataset_name\":\"flights\"}").unwrap();
         assert_eq!(v["dataset_name"], "flights");

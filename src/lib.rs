@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`dataframe`] | `atena-dataframe` | columnar engine (filter/group/aggregate/statistics) |
-//! | [`env`] | `atena-env` | the EDA MDP: actions, binning, displays, observations |
+//! | [`mod@env`] | `atena-env` | the EDA MDP: actions, binning, displays, observations |
 //! | [`reward`] | `atena-reward` | interestingness + diversity + weak-supervision coherency |
 //! | [`nn`] | `atena-nn` | tensors, autodiff, MLPs, Adam |
 //! | [`rl`] | `atena-rl` | twofold/flat policies, PPO trainer, greedy baselines |
