@@ -28,6 +28,7 @@
 use atena_core::{Atena, AtenaConfig, Strategy};
 use atena_dataframe::DataFrame;
 use std::fmt;
+use std::time::Duration;
 
 /// CLI errors, rendered to stderr by the binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,28 +165,11 @@ pub enum Command {
     Serve {
         /// Checkpoint path.
         checkpoint: String,
-        /// Bind address.
-        addr: String,
-        /// Worker threads.
-        workers: usize,
-        /// LRU response-cache capacity.
-        cache_size: usize,
-        /// Slow-request WARN threshold in milliseconds.
-        slow_ms: u64,
-        /// Per-request I/O deadline in milliseconds: total wall-clock
-        /// budget for reading one request and (separately) writing its
-        /// response, regardless of how the peer paces its bytes.
-        timeout_ms: u64,
         /// Trace JSONL output path (enables span recording when set).
         trace_out: Option<String>,
-        /// Dataset-registry byte budget for uploads, in MiB.
-        registry_budget_mb: usize,
-        /// Per-upload CSV size cap, in MiB.
-        upload_max_mb: usize,
-        /// Per-tenant in-flight request cap for mutating routes.
-        tenant_max_inflight: usize,
-        /// Per-tenant resident-byte quota, in MiB.
-        tenant_quota_mb: usize,
+        /// The server's configuration: the library defaults with each
+        /// given flag applied.
+        config: atena_server::ServerConfig,
     },
     /// Offline registry inspection: parse CSV files exactly as an upload
     /// would and print their dataset identity and schema.
@@ -459,16 +443,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         },
         Some("serve") => {
             let mut checkpoint = None;
-            let mut addr = "127.0.0.1:8080".to_string();
-            let mut workers = 4usize;
-            let mut cache_size = 256usize;
-            let mut slow_ms = 500u64;
-            let mut timeout_ms = 10_000u64;
             let mut trace_out = None;
-            let mut registry_budget_mb = 256usize;
-            let mut upload_max_mb = 8usize;
-            let mut tenant_max_inflight = 8usize;
-            let mut tenant_quota_mb = 64usize;
+            let mut config = atena_server::ServerConfig::default();
             let rest = &args[1..];
             let mut i = 0;
             while i < rest.len() {
@@ -481,28 +457,37 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         .parse()
                         .map_err(|_| CliError::Usage(format!("{name} expects an integer")))
                 };
+                let mib = |name: &str| int(name).map(|mb| mb << 20);
                 match flag {
                     "--checkpoint" => checkpoint = Some(value.clone()),
-                    "--addr" => addr = value.clone(),
-                    "--workers" => workers = int("--workers")?,
-                    "--cache-size" => cache_size = int("--cache-size")?,
+                    "--addr" => config.addr = value.clone(),
+                    "--workers" => config.workers = int("--workers")?,
+                    "--cache-size" => config.cache_size = int("--cache-size")?,
                     "--slow-ms" => {
-                        slow_ms = value
+                        let ms = value
                             .parse()
                             .map_err(|_| CliError::Usage("--slow-ms expects an integer".into()))?;
+                        config.slow_threshold = Duration::from_millis(ms);
                     }
                     "--timeout-ms" => {
-                        timeout_ms = value.parse().ok().filter(|v| *v > 0).ok_or_else(|| {
+                        let ms = value.parse().ok().filter(|v| *v > 0).ok_or_else(|| {
                             CliError::Usage("--timeout-ms expects a positive integer".into())
                         })?;
+                        config.request_timeout = Duration::from_millis(ms);
                     }
                     "--trace-out" => trace_out = Some(value.clone()),
-                    "--registry-budget-mb" => registry_budget_mb = int("--registry-budget-mb")?,
-                    "--upload-max-mb" => upload_max_mb = int("--upload-max-mb")?,
-                    "--tenant-max-inflight" => {
-                        tenant_max_inflight = int("--tenant-max-inflight")?;
+                    "--registry-budget-mb" => {
+                        config.registry.budget_bytes = mib("--registry-budget-mb")?;
                     }
-                    "--tenant-quota-mb" => tenant_quota_mb = int("--tenant-quota-mb")?,
+                    "--upload-max-mb" => {
+                        config.registry.limits.max_bytes = mib("--upload-max-mb")?;
+                    }
+                    "--tenant-max-inflight" => {
+                        config.tenant_limits.max_inflight = int("--tenant-max-inflight")?;
+                    }
+                    "--tenant-quota-mb" => {
+                        config.registry.tenant_quota_bytes = mib("--tenant-quota-mb")?;
+                    }
                     other => return Err(CliError::Usage(format!("unknown option {other:?}"))),
                 }
                 i += 2;
@@ -511,16 +496,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError::Usage("serve requires --checkpoint <ckpt.json>".into()))?;
             Ok(Command::Serve {
                 checkpoint,
-                addr,
-                workers,
-                cache_size,
-                slow_ms,
-                timeout_ms,
                 trace_out,
-                registry_budget_mb,
-                upload_max_mb,
-                tenant_max_inflight,
-                tenant_quota_mb,
+                config,
             })
         }
         Some("metrics") => match args.get(1).map(String::as_str) {
@@ -1037,16 +1014,8 @@ pub fn run(command: Command) -> Result<String, CliError> {
         }
         Command::Serve {
             checkpoint,
-            addr,
-            workers,
-            cache_size,
-            slow_ms,
-            timeout_ms,
             trace_out,
-            registry_budget_mb,
-            upload_max_mb,
-            tenant_max_inflight,
-            tenant_quota_mb,
+            config,
         } => {
             if let Some(path) = &trace_out {
                 set_trace_sink(path)?;
@@ -1062,25 +1031,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             let description = bundle.describe();
             let engine = atena_server::Engine::new(bundle, dataset.frame)
                 .map_err(|e| CliError::Runtime(format!("cannot build engine: {e}")))?;
-            let mut registry = atena_registry::RegistryConfig {
-                budget_bytes: registry_budget_mb << 20,
-                tenant_quota_bytes: tenant_quota_mb << 20,
-                ..Default::default()
-            };
-            registry.limits.max_bytes = upload_max_mb << 20;
-            let config = atena_server::ServerConfig {
-                addr,
-                workers,
-                cache_size,
-                slow_threshold: std::time::Duration::from_millis(slow_ms),
-                request_timeout: std::time::Duration::from_millis(timeout_ms),
-                registry,
-                tenant_limits: atena_registry::TenantLimits {
-                    max_inflight: tenant_max_inflight,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
             let server = atena_server::Server::bind(config, engine)
                 .map_err(|e| CliError::Runtime(format!("cannot bind: {e}")))?;
             let bound = server
@@ -1648,49 +1598,35 @@ garbage line
             "16",
         ]))
         .unwrap();
+        let mut config = atena_server::ServerConfig {
+            addr: "0.0.0.0:9000".into(),
+            workers: 8,
+            cache_size: 32,
+            slow_threshold: Duration::from_millis(100),
+            request_timeout: Duration::from_millis(2500),
+            ..Default::default()
+        };
+        config.registry.budget_bytes = 64 << 20;
+        config.registry.limits.max_bytes = 2 << 20;
+        config.registry.tenant_quota_bytes = 16 << 20;
+        config.tenant_limits.max_inflight = 3;
         assert_eq!(
             cmd,
             Command::Serve {
                 checkpoint: "c.json".into(),
-                addr: "0.0.0.0:9000".into(),
-                workers: 8,
-                cache_size: 32,
-                slow_ms: 100,
-                timeout_ms: 2500,
                 trace_out: Some("t.jsonl".into()),
-                registry_budget_mb: 64,
-                upload_max_mb: 2,
-                tenant_max_inflight: 3,
-                tenant_quota_mb: 16,
+                config,
             }
         );
-        // Defaults.
-        let Command::Serve {
-            addr,
-            workers,
-            cache_size,
-            slow_ms,
-            timeout_ms,
-            trace_out,
-            registry_budget_mb,
-            upload_max_mb,
-            tenant_max_inflight,
-            tenant_quota_mb,
-            ..
-        } = parse(&args(&["serve", "--checkpoint", "c.json"])).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(addr, "127.0.0.1:8080");
-        assert_eq!(workers, 4);
-        assert_eq!(cache_size, 256);
-        assert_eq!(slow_ms, 500);
-        assert_eq!(timeout_ms, 10_000, "per-request deadline defaults to 10s");
-        assert_eq!(trace_out, None);
-        assert_eq!(registry_budget_mb, 256);
-        assert_eq!(upload_max_mb, 8);
-        assert_eq!(tenant_max_inflight, 8);
-        assert_eq!(tenant_quota_mb, 64);
+        // Without flags, every setting is the library's default.
+        assert_eq!(
+            parse(&args(&["serve", "--checkpoint", "c.json"])).unwrap(),
+            Command::Serve {
+                checkpoint: "c.json".into(),
+                trace_out: None,
+                config: atena_server::ServerConfig::default(),
+            }
+        );
         assert!(matches!(parse(&args(&["serve"])), Err(CliError::Usage(_))));
         // The retired microbatch flags fail loudly rather than being
         // silently accepted by old scripts.

@@ -214,7 +214,7 @@ impl Atena {
             },
         );
         GenerationResult {
-            notebook: Notebook::replay(&self.name, &self.base, &episode.ops),
+            notebook: Notebook::from_session(&self.name, env.session()),
             best_reward: episode.total_reward,
             curve: Vec::new(),
             steps: self.config.env.episode_len,
@@ -335,6 +335,9 @@ mod tests {
             .generate();
         assert_eq!(result.notebook.len(), 5);
         assert!(result.curve.is_empty());
+        // The search session's own notebook renders like a replay of its ops.
+        let replayed = Notebook::replay("cyber", &base(), &result.notebook.ops());
+        assert_eq!(result.notebook.to_markdown(), replayed.to_markdown());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! displays, plus a tree illustration of the exploration paths.
 
 use atena_dataframe::DataFrame;
-use atena_env::{Display, EdaEnv, EnvConfig, OpOutcome, ResolvedOp};
+use atena_env::{Display, EdaEnv, EnvConfig, OpOutcome, ResolvedOp, SessionTree};
 use serde::Serialize;
 
 /// One notebook cell: an operation and the display it produced.
@@ -32,9 +32,30 @@ pub struct Notebook {
 }
 
 impl Notebook {
-    /// Replay a sequence of resolved operations against a dataset,
-    /// materializing each display. Invalid operations are kept with their
-    /// outcome note.
+    /// The notebook of a session: one cell per logged operation, showing
+    /// the display the session landed on. Invalid operations are kept with
+    /// their outcome note.
+    pub fn from_session(dataset_name: &str, session: &SessionTree) -> Notebook {
+        let entries = session
+            .ops()
+            .iter()
+            .enumerate()
+            .map(|(i, applied)| NotebookEntry {
+                index: i + 1,
+                op: applied.op.clone(),
+                caption: applied.op.caption(),
+                display: session.display(applied.to).clone(),
+                outcome: applied.outcome.clone(),
+            })
+            .collect();
+        Notebook {
+            dataset_name: dataset_name.to_string(),
+            entries,
+        }
+    }
+
+    /// Replay a sequence of resolved operations against a dataset in a
+    /// fresh environment and return the notebook of that session.
     pub fn replay(dataset_name: &str, base: &DataFrame, ops: &[ResolvedOp]) -> Notebook {
         let mut env = EdaEnv::new(
             base.clone(),
@@ -43,24 +64,11 @@ impl Notebook {
                 ..EnvConfig::default()
             },
         );
-        env.reset();
-        let mut entries = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
+        for op in ops {
             let preview = env.preview(op);
-            let entry = NotebookEntry {
-                index: i + 1,
-                op: op.clone(),
-                caption: op.caption(),
-                display: preview.display.clone(),
-                outcome: preview.outcome.clone(),
-            };
             env.commit(preview);
-            entries.push(entry);
         }
-        Notebook {
-            dataset_name: dataset_name.to_string(),
-            entries,
-        }
+        Notebook::from_session(dataset_name, env.session())
     }
 
     /// Number of cells.
@@ -319,6 +327,44 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["dataset_name"], "flights");
         assert_eq!(v["cells"].as_array().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn session_notebook_renders_like_a_replay_of_its_ops() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let frame = base();
+        let (mut backs, mut backs_at_root, mut invalid) = (0, 0, 0);
+        for walk in 0..300u64 {
+            let config = EnvConfig {
+                episode_len: 12,
+                seed: walk,
+                ..EnvConfig::default()
+            };
+            let mut env = EdaEnv::new(frame.clone(), config);
+            let mut rng = StdRng::seed_from_u64(walk);
+            while !env.done() {
+                let action = atena_reward::random_action(&env, &mut rng);
+                env.step(&action);
+            }
+            for applied in env.session().ops() {
+                match &applied.outcome {
+                    OpOutcome::Applied if applied.op == ResolvedOp::Back => backs += 1,
+                    OpOutcome::BackAtRoot => backs_at_root += 1,
+                    OpOutcome::Invalid(_) => invalid += 1,
+                    OpOutcome::Applied => {}
+                }
+            }
+            let session = Notebook::from_session("flights", env.session());
+            let replayed = Notebook::replay("flights", &frame, &session.ops());
+            assert_eq!(session.to_markdown(), replayed.to_markdown(), "walk {walk}");
+            assert_eq!(session.to_json(), replayed.to_json(), "walk {walk}");
+        }
+        // The walks exercise every outcome a session can log.
+        assert!(
+            backs > 0 && backs_at_root > 0 && invalid > 0,
+            "{backs} BACK, {backs_at_root} BACK at root, {invalid} invalid"
+        );
     }
 
     #[test]

@@ -141,8 +141,7 @@ struct EnvTelemetry {
 }
 
 impl EnvTelemetry {
-    fn from_global() -> Self {
-        let reg = atena_telemetry::global();
+    fn from_registry(reg: &atena_telemetry::MetricsRegistry) -> Self {
         Self {
             ops_filter: reg.counter("env.op.filter"),
             ops_group: reg.counter("env.op.group"),
@@ -197,7 +196,7 @@ impl EdaEnv {
             session: SessionTree::new(root),
             step: 0,
             rng,
-            telemetry: EnvTelemetry::from_global(),
+            telemetry: EnvTelemetry::from_registry(atena_telemetry::global()),
             cache: None,
         }
     }
@@ -216,6 +215,12 @@ impl EdaEnv {
         self.session = SessionTree::new(self.root_display());
         self.step = 0;
         self
+    }
+
+    /// Count this environment's `env.op.*` and `env.step_secs` metrics in
+    /// `registry` instead of the process-wide one. Forks inherit the route.
+    pub fn reroute_telemetry(&mut self, registry: &atena_telemetry::MetricsRegistry) {
+        self.telemetry = EnvTelemetry::from_registry(registry);
     }
 
     /// The attached display cache, if any.

@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Per-tenant concurrency knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantLimits {
     /// Maximum requests a single tenant may have in flight at once.
     pub max_inflight: usize,

@@ -8,7 +8,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Sizing and quota knobs for a [`DatasetRegistry`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryConfig {
     /// Total resident-byte budget for *unpinned* datasets. Pinned entries
     /// (the checkpoint's baked-in dataset) are reported in `registry.bytes`

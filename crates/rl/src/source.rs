@@ -35,7 +35,7 @@ use std::time::Instant;
 /// Everything the fleet needs to collect one iteration of experience.
 ///
 /// Borrowed, not owned: the plan is rebuilt by the trainer each iteration
-/// with the current temperature and iteration counter.
+/// with the current iteration counter.
 pub struct RolloutPlan<'a> {
     /// The policy to sample actions from (read-only snapshot).
     pub policy: &'a dyn Policy,
@@ -249,10 +249,14 @@ impl Rollouts {
     }
 
     /// Reroute the fleet's metrics (worker counters, runtime profile
-    /// telemetry, display-cache counters) to `registry`.
+    /// telemetry, display-cache counters, the lane environments' op and
+    /// step counters) to `registry`.
     pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
         if let Some(cache) = &self.cache {
             cache.reroute_telemetry(&registry);
+        }
+        for lane in &mut self.lanes {
+            lane.env.reroute_telemetry(&registry);
         }
         self.runtime = self.runtime.clone().with_telemetry(Arc::clone(&registry));
         self.telemetry = registry;

@@ -41,12 +41,8 @@ pub struct TrainerConfig {
     /// memoization (DESIGN.md §4i), so any capacity produces bit-identical
     /// results at the same seed.
     pub display_cache: usize,
-    /// Boltzmann exploration temperature at the start of training.
+    /// Boltzmann exploration temperature.
     pub temperature: f32,
-    /// Temperature at the end of a `train()` call; the schedule anneals
-    /// linearly between the two. Set equal to `temperature` (the default)
-    /// to disable annealing.
-    pub temperature_final: f32,
     /// Episodes averaged per convergence-curve point.
     pub eval_window: usize,
     /// Master seed.
@@ -62,7 +58,6 @@ impl Default for TrainerConfig {
             n_workers: 4,
             display_cache: crate::source::DEFAULT_DISPLAY_CACHE,
             temperature: 1.0,
-            temperature_final: 1.0,
             eval_window: 20,
             seed: 0,
         }
@@ -110,7 +105,6 @@ struct IterationStats {
     steps: usize,
     rollout_secs: f64,
     update_secs: f64,
-    temperature: f32,
     mean_reward: f64,
     update: UpdateStats,
 }
@@ -205,14 +199,11 @@ impl Trainer {
         // results are bit-identical with the tracer enabled or disabled.
         let tracer = Arc::clone(&self.tracer);
         while self.total_steps - start < total_steps {
-            let progress = ((self.total_steps - start) as f32 / total_steps.max(1) as f32).min(1.0);
-            let temperature = self.config.temperature
-                + (self.config.temperature_final - self.config.temperature) * progress;
             let trace = tracer.trace("train.iteration");
             trace.attr("iter", self.total_iterations.to_string());
             let collect_span = trace.span("rollout.collect");
             let collect_id = collect_span.id();
-            let (buffer, episodes) = self.collect_rollouts(temperature);
+            let (buffer, episodes) = self.collect_rollouts();
             let rollout_secs = collect_span.finish();
             if trace.is_recording() {
                 // Worker busy times were measured on the rollout threads;
@@ -269,7 +260,6 @@ impl Trainer {
                 steps: iter_steps,
                 rollout_secs,
                 update_secs,
-                temperature,
                 mean_reward,
                 update: last_update,
             });
@@ -291,7 +281,8 @@ impl Trainer {
         let t = &self.telemetry;
         t.counter("train.steps").add(s.steps as u64);
         t.counter("train.iterations").inc();
-        t.gauge("train.temperature").set(s.temperature as f64);
+        let temperature = self.config.temperature as f64;
+        t.gauge("train.temperature").set(temperature);
         t.histogram("train.rollout_secs").record(s.rollout_secs);
         t.histogram("train.update_secs").record(s.update_secs);
         let steps_per_sec = s.steps as f64 / (s.rollout_secs + s.update_secs).max(1e-9);
@@ -308,12 +299,7 @@ impl Trainer {
             s.mean_reward,
             labels,
         );
-        t.emit(
-            "iteration",
-            "train.temperature",
-            s.temperature as f64,
-            labels,
-        );
+        t.emit("iteration", "train.temperature", temperature, labels);
         t.emit("iteration", "train.rollout_secs", s.rollout_secs, labels);
         t.emit("iteration", "train.update_secs", s.update_secs, labels);
         t.emit(
@@ -371,13 +357,13 @@ impl Trainer {
     }
 
     /// Collect one iteration of rollouts from the lane fleet.
-    fn collect_rollouts(&mut self, temperature: f32) -> (RolloutBuffer, Vec<EpisodeRecord>) {
+    fn collect_rollouts(&mut self) -> (RolloutBuffer, Vec<EpisodeRecord>) {
         let plan = RolloutPlan {
             policy: self.policy.as_ref(),
             mapper: &self.mapper,
             reward: self.reward.as_ref(),
             rollout_len: self.config.rollout_len,
-            temperature,
+            temperature: self.config.temperature,
             base_seed: self.config.seed,
             iteration: self.total_iterations as u64,
         };

@@ -84,43 +84,6 @@ impl TwofoldPolicy {
         let value = self.value_head.forward(g, h);
         (logits, value)
     }
-
-    /// The pre-batching decode engine, kept verbatim: one step through a
-    /// fresh autodiff [`Graph`], snapshotting every weight matrix onto the
-    /// tape. This is the oracle the tensor-path [`Policy::act`] /
-    /// [`Policy::forward_rows`] must reproduce bit for bit (same
-    /// probabilities, same RNG draws, same log-prob and value), and the
-    /// perf baseline of the batched engine's release-only speedup test
-    /// (`crates/bench/tests/batched_decode.rs`, DESIGN.md §4l).
-    pub fn act_via_graph(
-        &self,
-        obs: &[f32],
-        temperature: f32,
-        rng: &mut StdRng,
-    ) -> crate::policy::PolicyStep {
-        use crate::policy::sample_categorical;
-        let mut g = Graph::new();
-        let x = g.constant(Tensor::row_vector(obs.to_vec()));
-        let (logits, value) = self.forward_heads(&mut g, x);
-        let temp = temperature.max(1e-3);
-        let mut heads = [0usize; N_HEADS];
-        for (i, &node) in logits.iter().enumerate() {
-            let scaled = g.scale(node, 1.0 / temp);
-            let probs = softmax_rows(g.value(scaled));
-            heads[i] = sample_categorical(probs.row(0), rng);
-        }
-        let op = op_of_head_choice(heads[0]);
-        let mut log_prob = 0.0f32;
-        for &h in active_heads(op) {
-            let probs = softmax_rows(g.value(logits[h]));
-            log_prob += probs.get(0, heads[h]).max(1e-10).ln();
-        }
-        crate::policy::PolicyStep {
-            choice: ActionChoice::Twofold { heads },
-            log_prob,
-            value: g.value(value).get(0, 0),
-        }
-    }
 }
 
 impl Policy for TwofoldPolicy {
@@ -266,6 +229,43 @@ mod tests {
         assert_eq!(ops_seen.len(), 3);
     }
 
+    impl TwofoldPolicy {
+        /// The pre-batching decode engine, kept verbatim: one step through a
+        /// fresh autodiff [`Graph`], snapshotting every weight matrix onto the
+        /// tape. This is the oracle the tensor-path [`Policy::act`] /
+        /// [`Policy::forward_rows`] must reproduce bit for bit (same
+        /// probabilities, same RNG draws, same log-prob and value).
+        fn act_via_graph(
+            &self,
+            obs: &[f32],
+            temperature: f32,
+            rng: &mut StdRng,
+        ) -> crate::policy::PolicyStep {
+            use crate::policy::sample_categorical;
+            let mut g = Graph::new();
+            let x = g.constant(Tensor::row_vector(obs.to_vec()));
+            let (logits, value) = self.forward_heads(&mut g, x);
+            let temp = temperature.max(1e-3);
+            let mut heads = [0usize; N_HEADS];
+            for (i, &node) in logits.iter().enumerate() {
+                let scaled = g.scale(node, 1.0 / temp);
+                let probs = softmax_rows(g.value(scaled));
+                heads[i] = sample_categorical(probs.row(0), rng);
+            }
+            let op = op_of_head_choice(heads[0]);
+            let mut log_prob = 0.0f32;
+            for &h in active_heads(op) {
+                let probs = softmax_rows(g.value(logits[h]));
+                log_prob += probs.get(0, heads[h]).max(1e-10).ln();
+            }
+            crate::policy::PolicyStep {
+                choice: ActionChoice::Twofold { heads },
+                log_prob,
+                value: g.value(value).get(0, 0),
+            }
+        }
+    }
+
     #[test]
     fn tensor_act_is_bit_identical_to_graph_act() {
         use rand::Rng;
@@ -299,27 +299,29 @@ mod tests {
         let p = policy();
         let mut obs_rng = StdRng::seed_from_u64(41);
         use rand::Rng;
-        let rows: Vec<Vec<f32>> = (0..5)
-            .map(|_| (0..20).map(|_| obs_rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let mut data = Vec::new();
-        for r in &rows {
-            data.extend_from_slice(r);
-        }
-        let batch = Tensor::from_vec(5, 20, data);
-        let batched = p.forward_rows(&batch, 0.7).unwrap();
-        assert_eq!(batched.len(), 5);
-        for (i, row) in rows.iter().enumerate() {
-            let single = p
-                .forward_rows(&Tensor::row_vector(row.clone()), 0.7)
-                .unwrap();
-            // PolicyRow has no PartialEq on purpose; compare via Debug,
-            // which prints full f32 precision.
-            assert_eq!(
-                format!("{:?}", single[0]),
-                format!("{:?}", batched[i]),
-                "row {i} diverged"
-            );
+        // Batch sizes the rollout shards use, and the server's decode
+        // temperature beside a training one.
+        for n in [1, 4, 5, 8] {
+            for temperature in [0.7, 1e-3] {
+                let rows: Vec<Vec<f32>> = (0..n)
+                    .map(|_| (0..20).map(|_| obs_rng.gen_range(-1.0..1.0)).collect())
+                    .collect();
+                let batch = Tensor::from_vec(n, 20, rows.concat());
+                let batched = p.forward_rows(&batch, temperature).unwrap();
+                assert_eq!(batched.len(), n);
+                for (i, row) in rows.iter().enumerate() {
+                    let single = p
+                        .forward_rows(&Tensor::row_vector(row.clone()), temperature)
+                        .unwrap();
+                    // PolicyRow has no PartialEq on purpose; compare via
+                    // Debug, which prints full f32 precision.
+                    assert_eq!(
+                        format!("{:?}", single[0]),
+                        format!("{:?}", batched[i]),
+                        "batch {n}, temperature {temperature}: row {i} diverged"
+                    );
+                }
+            }
         }
         // Wrong observation width is a typed error, not a panic.
         assert!(p.forward_rows(&Tensor::zeros(2, 19), 1.0).is_err());

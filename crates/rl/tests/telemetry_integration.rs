@@ -149,4 +149,13 @@ fn train_streams_iteration_and_episode_events() {
     assert!(registry.counter("train.iterations").get() >= 2);
     assert!(registry.counter("train.steps").get() >= 192);
     assert!(registry.counter("train.episodes").get() >= 1);
+    // The lane environments count one op per step in the same registry.
+    let snap = registry.snapshot();
+    let ops: u64 = ["env.op.filter", "env.op.group", "env.op.back"]
+        .iter()
+        .map(|name| snap.counter(name).unwrap_or(0))
+        .sum();
+    assert_eq!(ops, registry.counter("train.steps").get());
+    assert!(snap.counter("env.op.invalid").is_some());
+    assert_eq!(registry.histogram("env.step_secs").count(), ops);
 }

@@ -15,7 +15,7 @@ use atena_dataframe::DataFrame;
 use atena_env::{DisplayCache, EdaEnv};
 use atena_nn::Tensor;
 use atena_rl::{Policy, TwofoldPolicy};
-use atena_telemetry::SpanGuard;
+use atena_telemetry::{MetricsRegistry, SpanGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -109,6 +109,7 @@ pub struct Engine {
     policy: Arc<TwofoldPolicy>,
     frame: Arc<DataFrame>,
     display_cache: Arc<DisplayCache>,
+    telemetry: Arc<MetricsRegistry>,
 }
 
 impl Engine {
@@ -131,12 +132,16 @@ impl Engine {
             policy: Arc::new(policy),
             frame: Arc::new(frame),
             display_cache: Arc::new(DisplayCache::new(DISPLAY_CACHE_CAPACITY)),
+            telemetry: atena_telemetry::global_arc(),
         })
     }
 
-    /// The display cache shared across this engine's decode requests.
-    pub fn display_cache(&self) -> &Arc<DisplayCache> {
-        &self.display_cache
+    /// Route the metrics of this engine's display cache (`env.cache.*`) and
+    /// of every decode's environment (`env.op.*`, `env.step_secs`) to
+    /// `registry` instead of the process-wide one.
+    pub fn reroute_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
+        self.display_cache.reroute_telemetry(registry);
+        self.telemetry = Arc::clone(registry);
     }
 
     /// The dataset id this engine serves by default.
@@ -221,7 +226,9 @@ impl Engine {
     /// Greedy-decode one notebook over an explicit frame (which must have
     /// passed [`Engine::check_frame`]). The engine's display cache is
     /// shared across datasets — cache keys include the dataset fingerprint,
-    /// so entries from different datasets can never alias.
+    /// so entries from different datasets can never alias. The notebook is
+    /// the decode session itself: each display is materialized (or fetched
+    /// from the cache) once, by the step that reached it.
     ///
     /// When `parent` is an open span, each decode step records `nn.forward`
     /// (policy inference) and `env.step` (display materialization) children
@@ -242,6 +249,7 @@ impl Engine {
         // requests against the same dataset.
         let mut env = EdaEnv::with_shared_base(Arc::clone(frame), env_config)
             .with_display_cache(Arc::clone(&self.display_cache));
+        env.reroute_telemetry(&self.telemetry);
         env.reset_with_seed(request.seed);
         let mut rng = StdRng::seed_from_u64(request.seed);
         while !env.done() {
@@ -256,8 +264,7 @@ impl Engine {
             let _s = parent.map(|p| p.child("env.step"));
             env.step(&action);
         }
-        let ops: Vec<_> = env.session().ops().iter().map(|o| o.op.clone()).collect();
-        let notebook = Notebook::replay(&request.dataset, frame, &ops);
+        let notebook = Notebook::from_session(&request.dataset, env.session());
         Ok(NotebookResponse {
             dataset: request.dataset.clone(),
             episode_len: request.episode_len,
@@ -316,6 +323,49 @@ mod tests {
             .decode(&e.validate("tiny", Some(3), Some(8)).unwrap())
             .unwrap();
         assert_eq!(other.notebook.cells.len(), 3);
+    }
+
+    #[test]
+    fn served_notebook_matches_a_replay_of_an_uncached_decode() {
+        let e = engine();
+        let frame = Arc::clone(e.frame());
+        let grid: Vec<(u64, usize)> = (0..40)
+            .flat_map(|seed| [1, 3, 8, 16, 40, 64].map(|len| (seed, len)))
+            .collect();
+        // Reference: the same greedy decode on an uncached environment,
+        // then its ops replayed on a fresh one.
+        let expected: Vec<String> = grid
+            .iter()
+            .map(|&(seed, len)| {
+                let mut config = e.bundle.env.clone();
+                config.episode_len = len;
+                config.seed = seed;
+                let mut env = EdaEnv::with_shared_base(Arc::clone(&frame), config);
+                env.reset_with_seed(seed);
+                let mut rng = StdRng::seed_from_u64(seed);
+                while !env.done() {
+                    let step = e
+                        .policy
+                        .act(&env.observation(), DECODE_TEMPERATURE, &mut rng);
+                    env.step(&step.choice.to_eda_action().unwrap());
+                }
+                let ops: Vec<_> = env.session().ops().iter().map(|o| o.op.clone()).collect();
+                let replayed = Notebook::replay("tiny", &frame, &ops);
+                serde_json::to_string(&replayed.summary()).unwrap()
+            })
+            .collect();
+        // The second pass decodes with the engine's display cache warm.
+        for pass in ["cold", "warm"] {
+            for (&(seed, len), expected) in grid.iter().zip(&expected) {
+                let req = e.validate("tiny", Some(len), Some(seed)).unwrap();
+                let served = e.decode(&req).unwrap();
+                assert_eq!(
+                    &serde_json::to_string(&served.notebook).unwrap(),
+                    expected,
+                    "{pass} cache, seed {seed}, episode_len {len}"
+                );
+            }
+        }
     }
 
     #[test]

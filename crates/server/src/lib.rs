@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 pub const DEBUG_RING_CAPACITY: usize = 64;
 
 /// Server tunables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (port 0 picks an ephemeral one).
     pub addr: String,
@@ -181,17 +181,17 @@ impl Server {
     }
 
     /// [`Server::bind`] with an explicit metrics registry (tests use a
-    /// private one per server to stay isolated). The server's own metrics,
-    /// the engine's display cache (`env.cache.*`), the dataset registry's
-    /// and admission's go there; each decode's environment still counts
-    /// `env.op.*` and `env.step_secs` in the process-wide registry.
+    /// private one per server to stay isolated). Every metric the server
+    /// records goes there: its own, the engine's display cache
+    /// (`env.cache.*`) and decode environments (`env.op.*`,
+    /// `env.step_secs`), the dataset registry's and admission's.
     pub fn bind_with_telemetry(
         config: ServerConfig,
-        engine: Engine,
+        mut engine: Engine,
         telemetry: Arc<MetricsRegistry>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        engine.display_cache().reroute_telemetry(&telemetry);
+        engine.reroute_telemetry(&telemetry);
         let registry = Arc::new(DatasetRegistry::new(config.registry));
         registry.reroute_telemetry(&telemetry);
         // The bundle's baked-in dataset is pinned: always resolvable by id,
@@ -346,11 +346,13 @@ fn handle_connection(
                 trace.attr("method", request.method.clone());
                 trace.attr("path", request.path().to_string());
                 trace.record_exact(ROOT_SPAN_ID, "http.read", read_secs, Vec::new());
-                let span = atena_telemetry::Span::enter(
-                    state.telemetry.histogram("server.http.latency_secs"),
-                );
+                let route_start = Instant::now();
                 let outcome = route(&request, state, &trace);
-                let total_secs = span.finish();
+                let total_secs = route_start.elapsed().as_secs_f64();
+                state
+                    .telemetry
+                    .histogram("server.http.latency_secs")
+                    .record(total_secs);
                 trace.attr("status", outcome.response.status.to_string());
                 if total_secs > config.slow_threshold.as_secs_f64() {
                     state.telemetry.counter("server.request.slow").inc();
@@ -848,20 +850,17 @@ fn serve_notebook(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) 
     let mut decode_span = trace.span("engine.decode");
     decode_span.set_attr("episode_len", validated.episode_len.to_string());
     decode_span.set_attr("seed", validated.seed.to_string());
-    let span = atena_telemetry::Span::enter(t.histogram("server.notebook.decode_secs"));
-    let decoded = match state
+    let decoded = state
         .engine
-        .decode_with_frame(&frame, &validated, Some(&decode_span))
-    {
+        .decode_with_frame(&frame, &validated, Some(&decode_span));
+    // The guard times the decode whether or not the trace records.
+    let decode_secs = decode_span.finish();
+    t.histogram("server.notebook.decode_secs")
+        .record(decode_secs);
+    let decoded = match decoded {
         Ok(d) => d,
-        Err(e) => {
-            let _ = span.finish();
-            drop(decode_span);
-            return fail(500, "Internal Server Error", &e.to_string());
-        }
+        Err(e) => return fail(500, "Internal Server Error", &e.to_string()),
     };
-    let decode_secs = span.finish();
-    drop(decode_span);
     let body = match serde_json::to_string(&decoded) {
         Ok(body) => Arc::new(body),
         Err(e) => {

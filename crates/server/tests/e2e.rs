@@ -206,8 +206,10 @@ fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
 /// order at capacity 2, monotone hit/miss counters, and byte-identical
 /// responses before and after eviction. Also asserts the engine's display
 /// cache (shared across requests) accumulates hits as decodes replay
-/// operation paths, and that `bind_with_telemetry` routes its
-/// `env.cache.*` counters to the server's own registry.
+/// operation paths, that `bind_with_telemetry` routes its `env.cache.*`
+/// counters and the decode environments' `env.op.*` / `env.step_secs` to
+/// the server's own registry, and that every request and every decode is
+/// timed once.
 #[test]
 fn response_cache_lru_semantics_over_http() {
     let engine = Engine::new(tiny_bundle(), base()).unwrap();
@@ -299,6 +301,23 @@ fn response_cache_lru_semantics_over_http() {
     assert!(
         prev_env_hits > 0,
         "repeated decodes produced no display-cache hits"
+    );
+    let m = metrics(addr);
+    let count = |name: &str| m["counters"][name].as_u64();
+    let ops = ["env.op.filter", "env.op.group", "env.op.back"]
+        .map(|name| count(name).unwrap_or(0))
+        .iter()
+        .sum::<u64>();
+    assert_eq!(ops, 5 * 3, "one op per step of each 3-step decode");
+    assert!(count("env.op.invalid").is_some());
+    let histogram_count = |name: &str| m["histograms"][name]["count"].as_u64();
+    assert_eq!(histogram_count("env.step_secs"), Some(5 * 3));
+    assert_eq!(histogram_count("server.notebook.decode_secs"), Some(5));
+    // This scrape is counted in `server.http.requests` before it is routed
+    // and timed after its body is rendered.
+    assert_eq!(
+        histogram_count("server.http.latency_secs"),
+        count("server.http.requests").map(|n| n - 1)
     );
 
     handle.shutdown();

@@ -9,8 +9,6 @@
 //! * [`MetricsRegistry`] owns named [`Counter`]s, [`Gauge`]s, and
 //!   [`Histogram`]s (fixed log-scale buckets). Handles are cheap `Arc`
 //!   clones and safe to update from rollout worker threads.
-//! * [`Span`] is a drop-timer: it measures a region and records the elapsed
-//!   seconds into a histogram on the registry.
 //! * The leveled logger (`error!`/`warn!`/`info!`/`debug!`) writes
 //!   human-readable lines to stderr, gated by [`set_level`] /
 //!   the `ATENA_LOG` environment variable.
@@ -41,7 +39,7 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------------
 // Leveled logging
@@ -468,66 +466,6 @@ fn cas_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
 }
 
 // ---------------------------------------------------------------------------
-// Span timer
-// ---------------------------------------------------------------------------
-
-/// Drop-timer: measures a region and records the elapsed seconds into a
-/// [`Histogram`] when dropped (or explicitly via [`Span::finish`]).
-#[must_use = "a Span measures until it is dropped; binding to _ drops immediately"]
-pub struct Span {
-    start: Instant,
-    target: Option<Histogram>,
-}
-
-impl Span {
-    /// Start timing into `histogram`.
-    pub fn enter(histogram: Histogram) -> Span {
-        Span {
-            start: Instant::now(),
-            target: Some(histogram),
-        }
-    }
-
-    /// Start a detached timer (elapsed can be read, nothing is recorded).
-    pub fn detached() -> Span {
-        Span {
-            start: Instant::now(),
-            target: None,
-        }
-    }
-
-    /// Seconds since the span started.
-    pub fn elapsed(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Stop now, record, and return the elapsed seconds.
-    pub fn finish(mut self) -> f64 {
-        let elapsed = self.elapsed();
-        if let Some(h) = self.target.take() {
-            h.record(elapsed);
-        }
-        elapsed
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(h) = self.target.take() {
-            h.record(self.elapsed());
-        }
-    }
-}
-
-/// Time a closure into `histogram`, returning its result.
-pub fn time<R>(histogram: &Histogram, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let out = f();
-    histogram.record_duration(start.elapsed());
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -887,18 +825,6 @@ mod tests {
         assert!((h.mean() - 1.0).abs() < 1e-12);
         assert_eq!(h.min(), Some(0.5));
         assert_eq!(h.max(), Some(1.5));
-    }
-
-    #[test]
-    fn span_records_elapsed() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat");
-        {
-            let _span = Span::enter(h.clone());
-        }
-        time(&h, || std::hint::black_box(1 + 1));
-        assert_eq!(h.count(), 2);
-        assert!(h.min().unwrap() >= 0.0);
     }
 
     #[test]
