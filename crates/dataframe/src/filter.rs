@@ -55,6 +55,19 @@ impl CmpOp {
         }
     }
 
+    /// `v OP t` for the numeric operators (false for the string-only ones).
+    pub(crate) fn holds_f64(self, v: f64, t: f64) -> bool {
+        match self {
+            CmpOp::Eq => v == t,
+            CmpOp::Neq => v != t,
+            CmpOp::Gt => v > t,
+            CmpOp::Lt => v < t,
+            CmpOp::Ge => v >= t,
+            CmpOp::Le => v <= t,
+            CmpOp::Contains | CmpOp::StartsWith => false,
+        }
+    }
+
     /// Whether the operator is defined for columns of type `dtype`.
     pub fn supports(self, dtype: DType) -> bool {
         match self {
@@ -148,15 +161,7 @@ impl Predicate {
                 _ => false,
             },
             (term, v) => match (term.as_f64(), v.as_f64()) {
-                (Some(t), Some(v)) => match self.op {
-                    CmpOp::Eq => v == t,
-                    CmpOp::Neq => v != t,
-                    CmpOp::Gt => v > t,
-                    CmpOp::Lt => v < t,
-                    CmpOp::Ge => v >= t,
-                    CmpOp::Le => v <= t,
-                    _ => false,
-                },
+                (Some(t), Some(v)) => self.op.holds_f64(v, t),
                 _ => false,
             },
         }

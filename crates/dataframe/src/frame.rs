@@ -152,16 +152,30 @@ impl DataFrame {
     }
 
     /// Indices of rows satisfying the predicate.
+    ///
+    /// On a string column the predicate is evaluated once per dictionary
+    /// entry and once for null, and rows are then selected by code. A
+    /// numeric column compares each value with the term in `f64`, as
+    /// [`Predicate::matches`] does.
     pub fn filter_indices(&self, pred: &Predicate) -> Result<Vec<usize>> {
         let col = self.column(&pred.attr)?;
         pred.validate(col.dtype())?;
-        let mut out = Vec::new();
-        for i in 0..col.len() {
-            if pred.matches(col.get(i)) {
-                out.push(i);
+        let keep_null = pred.matches(ValueRef::Null);
+        Ok(match (col, pred.term.as_f64()) {
+            (Column::Str(s), _) => {
+                let keep: Vec<bool> = s
+                    .dictionary()
+                    .iter()
+                    .map(|v| pred.matches(ValueRef::Str(v)))
+                    .collect();
+                select(s.codes(), |c| keep[c as usize], keep_null)
             }
-        }
-        Ok(out)
+            (Column::Int(v), Some(t)) => select(v, |x| pred.op.holds_f64(x as f64, t), keep_null),
+            (Column::Float(v), Some(t)) => select(v, |x| pred.op.holds_f64(x, t), keep_null),
+            _ => (0..col.len())
+                .filter(|&i| pred.matches(col.get(i)))
+                .collect(),
+        })
     }
 
     /// New frame containing only rows satisfying the predicate.
@@ -248,6 +262,13 @@ impl DataFrame {
         }
         Ok(self.columns.iter().map(|c| c.get(i).to_owned()).collect())
     }
+}
+
+/// Indices of the values `keep` accepts, nulls kept iff `keep_null`.
+fn select<T: Copy>(values: &[Option<T>], keep: impl Fn(T) -> bool, keep_null: bool) -> Vec<usize> {
+    (0..values.len())
+        .filter(|&i| values[i].map_or(keep_null, &keep))
+        .collect()
 }
 
 impl fmt::Display for DataFrame {

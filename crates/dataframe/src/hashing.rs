@@ -8,7 +8,7 @@
 
 use crate::column::Column;
 use crate::frame::DataFrame;
-use crate::value::{Value, ValueRef};
+use crate::value::{canonical_f64_bits, Value, ValueRef};
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -81,14 +81,7 @@ impl StableHasher {
             }
             ValueRef::Float(f) => {
                 self.write_u8(3);
-                let bits = if f.is_nan() {
-                    f64::NAN.to_bits()
-                } else if f == 0.0 {
-                    0.0f64.to_bits()
-                } else {
-                    f.to_bits()
-                };
-                self.write_u64(bits);
+                self.write_u64(canonical_f64_bits(f));
             }
             ValueRef::Str(s) => {
                 self.write_u8(4);

@@ -58,7 +58,8 @@ impl ColumnStats {
 /// Shannon entropy (bits) of a frequency table.
 ///
 /// Counts are sorted before accumulation so the result does not depend on
-/// hash-map iteration order (bit-exact reproducibility of rewards).
+/// hash-map iteration order (bit-exact reproducibility of rewards). Equal
+/// counts are adjacent once sorted, so each run computes its term once.
 pub fn entropy_of_counts<'a, I: IntoIterator<Item = &'a usize>>(counts: I) -> f64 {
     let mut counts: Vec<usize> = counts.into_iter().copied().filter(|&c| c > 0).collect();
     counts.sort_unstable();
@@ -67,11 +68,17 @@ pub fn entropy_of_counts<'a, I: IntoIterator<Item = &'a usize>>(counts: I) -> f6
         return 0.0;
     }
     let total = total as f64;
+    let mut last: Option<(usize, f64)> = None;
     counts
         .iter()
-        .map(|&c| {
-            let p = c as f64 / total;
-            -p * p.log2()
+        .map(|&c| match last {
+            Some((prev, term)) if prev == c => term,
+            _ => {
+                let p = c as f64 / total;
+                let term = -p * p.log2();
+                last = Some((c, term));
+                term
+            }
         })
         .sum()
 }
@@ -307,9 +314,9 @@ impl NumericSummary {
 }
 
 fn stats_of(col: &Column) -> ColumnStats {
-    let counts = col.value_counts();
+    let counts = col.distinct_counts();
     ColumnStats {
-        entropy: entropy_of_counts(counts.values()),
+        entropy: entropy_of_counts(&counts),
         n_distinct: counts.len(),
         n_nulls: col.null_count(),
         n_rows: col.len(),
@@ -331,6 +338,26 @@ mod tests {
         assert_eq!(h, 0.0);
         // Empty: 0 bits.
         assert_eq!(entropy_of_counts([].iter()), 0.0);
+    }
+
+    #[test]
+    fn entropy_terms_are_reused_without_changing_bits() {
+        // The sum every term computed afresh, in sorted-count order.
+        let direct = |counts: &[usize]| -> f64 {
+            let mut sorted = counts.to_vec();
+            sorted.sort_unstable();
+            let total = sorted.iter().sum::<usize>() as f64;
+            sorted
+                .iter()
+                .map(|&c| -(c as f64 / total) * (c as f64 / total).log2())
+                .sum()
+        };
+        for counts in [vec![1, 1, 1, 3, 1, 7, 3], vec![5; 9], vec![2, 9, 4]] {
+            assert_eq!(
+                entropy_of_counts(&counts).to_bits(),
+                direct(&counts).to_bits()
+            );
+        }
     }
 
     #[test]

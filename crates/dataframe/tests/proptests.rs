@@ -1,4 +1,7 @@
-//! Property-based tests for the dataframe engine's core invariants.
+//! Property-based tests for the dataframe engine's core invariants, and
+//! for the dictionary-code operators against the row-at-a-time oracle.
+
+mod oracle;
 
 use atena_dataframe::{
     entropy_of_counts, AggFunc, AttrRole, CmpOp, DataFrame, Predicate, Value, ValueDistribution,
@@ -217,6 +220,211 @@ proptest! {
                 da.kl_divergence(&reference).to_bits(),
                 db.kl_divergence(&reference).to_bits()
             );
+        }
+    }
+}
+
+/// One row of [`mixed_frame`].
+type Row = (Option<&'static str>, Option<i64>, Option<f64>, Option<bool>);
+
+const MIXED_COLUMNS: [&str; 4] = ["s", "i", "f", "b"];
+
+const ALL_AGGS: [AggFunc; 7] = [
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::Avg,
+    AggFunc::Min,
+    AggFunc::Max,
+    AggFunc::Median,
+    AggFunc::Std,
+];
+
+fn mixed_row() -> impl Strategy<Value = Row> {
+    let strs = (0usize..6).prop_map(|i| ["", "a", "ab", "b", "ba", "c"][i]);
+    let floats = prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        (-3i64..4).prop_map(|x| x as f64 * 0.5),
+        -1e3f64..1e3,
+    ];
+    (
+        prop::option::of(strs),
+        prop::option::of(-4i64..4),
+        prop::option::of(floats),
+        prop::option::of(any::<bool>()),
+    )
+}
+
+/// A frame with one column of each dtype. `int_scale` spreads the integers
+/// so that wide ranges (hashed key codes) are drawn as well as narrow ones.
+fn mixed_frame(rows: &[Row], int_scale: i64) -> DataFrame {
+    DataFrame::builder()
+        .str("s", AttrRole::Categorical, rows.iter().map(|r| r.0))
+        .int(
+            "i",
+            AttrRole::Numeric,
+            rows.iter().map(|r| r.1.map(|x| x * int_scale)),
+        )
+        .float("f", AttrRole::Numeric, rows.iter().map(|r| r.2))
+        .bool("b", AttrRole::Categorical, rows.iter().map(|r| r.3))
+        .build()
+        .expect("valid frame")
+}
+
+/// Key names from column picks, first occurrence kept.
+fn key_list(picks: &[usize]) -> Vec<&'static str> {
+    let mut keys: Vec<&'static str> = Vec::new();
+    for &p in picks {
+        if !keys.contains(&MIXED_COLUMNS[p]) {
+            keys.push(MIXED_COLUMNS[p]);
+        }
+    }
+    keys
+}
+
+/// Every (aggregate, column) pair the dtype supports.
+fn supported_aggs(df: &DataFrame) -> Vec<(AggFunc, &'static str)> {
+    ALL_AGGS
+        .iter()
+        .flat_map(|&f| MIXED_COLUMNS.iter().map(move |&c| (f, c)))
+        .filter(|&(f, c)| f.supports(df.column(c).unwrap().dtype()))
+        .collect()
+}
+
+/// The same frame plus two views whose first-appearance orders and
+/// dictionaries differ: rows reversed, and the rows kept by a filter.
+fn frame_and_views(df: DataFrame) -> Vec<DataFrame> {
+    let reversed: Vec<usize> = (0..df.n_rows()).rev().collect();
+    let reversed = df.take(&reversed);
+    let filtered = df
+        .filter(&Predicate::new("s", CmpOp::Neq, "a"))
+        .expect("valid predicate");
+    vec![df, reversed, filtered]
+}
+
+/// Filter terms per column: matching and mismatched types, null included.
+fn terms_for(column: &str) -> Vec<Value> {
+    let mut terms = vec![Value::Null];
+    terms.extend(match column {
+        "s" => vec![
+            Value::from(""),
+            Value::from("a"),
+            Value::from("b"),
+            Value::from("zz"),
+            Value::Int(1),
+        ],
+        "i" => vec![
+            Value::Int(0),
+            Value::Int(-3),
+            Value::Int(3_000_009),
+            Value::Float(0.5),
+            Value::Float(f64::NAN),
+            Value::from("a"),
+        ],
+        "f" => vec![
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(0.5),
+            Value::Int(1),
+            Value::Bool(true),
+        ],
+        _ => vec![Value::Bool(true), Value::Bool(false), Value::Int(1)],
+    });
+    terms
+}
+
+proptest! {
+    /// GROUP on codes equals the per-row `ValueKey` path bit for bit, for
+    /// every aggregate over every supported column, on 1–3 mixed-dtype keys.
+    #[test]
+    fn group_aggregate_multi_matches_the_oracle(
+        rows in prop::collection::vec(mixed_row(), 0..150),
+        int_scale in prop_oneof![Just(1i64), Just(1_000_003i64)],
+        picks in prop::collection::vec(0usize..4, 1..4),
+        extra in (0usize..7, 0usize..4),
+    ) {
+        let keys = key_list(&picks);
+        for df in frame_and_views(mixed_frame(&rows, int_scale)) {
+            let aggs = supported_aggs(&df);
+            let actual = df.group_aggregate_multi(&keys, &aggs).unwrap();
+            let expected = oracle::group_aggregate_multi(&df, &keys, &aggs).unwrap();
+            oracle::assert_same_frame(&actual, &expected, &format!("keys {keys:?}"));
+            // One aggregate on its own, unsupported pairs included.
+            let single = [(ALL_AGGS[extra.0], MIXED_COLUMNS[extra.1])];
+            match (
+                df.group_aggregate_multi(&keys, &single),
+                oracle::group_aggregate_multi(&df, &keys, &single),
+            ) {
+                (Ok(a), Ok(e)) => oracle::assert_same_frame(&a, &e, &format!("{single:?}")),
+                (a, e) => prop_assert_eq!(a.err(), e.err()),
+            }
+        }
+    }
+
+    /// `group_by` yields the oracle's key tuples and row lists, in order.
+    #[test]
+    fn group_by_matches_the_oracle(
+        rows in prop::collection::vec(mixed_row(), 0..150),
+        int_scale in prop_oneof![Just(1i64), Just(1_000_003i64)],
+        picks in prop::collection::vec(0usize..4, 1..4),
+    ) {
+        let keys = key_list(&picks);
+        for df in frame_and_views(mixed_frame(&rows, int_scale)) {
+            let groups = df.group_by(&keys).unwrap();
+            let actual: Vec<(Vec<ValueKey>, Vec<usize>)> =
+                groups.iter().map(|(k, r)| (k.to_vec(), r.to_vec())).collect();
+            prop_assert_eq!(actual, oracle::group_by(&df, &keys).unwrap());
+            prop_assert_eq!(groups.n_source_rows(), df.n_rows());
+        }
+    }
+
+    /// `filter_indices` equals the per-row `Predicate::matches` scan for
+    /// every operator and term, and the filtered frame equals one gathered
+    /// value by value (dictionary order included).
+    #[test]
+    fn filter_matches_the_row_scan(
+        rows in prop::collection::vec(mixed_row(), 0..150),
+        int_scale in prop_oneof![Just(1i64), Just(1_000_003i64)],
+    ) {
+        for df in frame_and_views(mixed_frame(&rows, int_scale)) {
+            for column in MIXED_COLUMNS {
+                for term in terms_for(column) {
+                    for op in CmpOp::ALL {
+                        let pred = Predicate::new(column, op, term.clone());
+                        prop_assert_eq!(
+                            df.filter_indices(&pred),
+                            oracle::filter_indices(&df, &pred),
+                            "{}", pred
+                        );
+                        if let Ok(expected) = oracle::filter(&df, &pred) {
+                            let actual = df.filter(&pred).unwrap();
+                            oracle::assert_same_frame(&actual, &expected, &pred.to_string());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Column statistics and distinct counts equal the `BTreeMap`-built ones.
+    #[test]
+    fn column_stats_match_the_btreemap_stats(
+        rows in prop::collection::vec(mixed_row(), 0..150),
+        int_scale in prop_oneof![Just(1i64), Just(1_000_003i64)],
+    ) {
+        for df in frame_and_views(mixed_frame(&rows, int_scale)) {
+            for column in MIXED_COLUMNS {
+                let col = df.column(column).unwrap();
+                let expected = oracle::column_stats(col);
+                oracle::assert_same_stats(&df.column_stats(column).unwrap(), &expected, column);
+                prop_assert_eq!(col.n_distinct(), expected.n_distinct);
+            }
         }
     }
 }
