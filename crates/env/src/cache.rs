@@ -130,6 +130,43 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some((old_key, old_value))
     }
 
+    /// Remove `key`, returning its value. The last slab entry moves into
+    /// the freed slot, so the slab stays dense.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let slot = self.map.remove(key)?;
+        self.detach(slot);
+        let removed = self.slab.swap_remove(slot);
+        if slot < self.slab.len() {
+            let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
+            if prev == NIL {
+                self.head = slot;
+            } else {
+                self.slab[prev].next = slot;
+            }
+            if next == NIL {
+                self.tail = slot;
+            } else {
+                self.slab[next].prev = slot;
+            }
+            self.map.insert(self.slab[slot].key.clone(), slot);
+        }
+        Some(removed.value)
+    }
+
+    /// Remove every entry whose value `keep` rejects; returns how many.
+    pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
+        let doomed: Vec<K> = self
+            .slab
+            .iter()
+            .filter(|e| !keep(&e.value))
+            .map(|e| e.key.clone())
+            .collect();
+        for key in &doomed {
+            self.remove(key);
+        }
+        doomed.len()
+    }
+
     fn detach(&mut self, slot: usize) {
         let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
         if prev != NIL {
@@ -265,7 +302,9 @@ impl CacheTelemetry {
 /// Capacity 0 disables the cache (every lookup misses, nothing is stored);
 /// the environment layer simply doesn't attach one in that case.
 pub struct DisplayCache {
-    shards: Sharded<LruCache<u64, Display>>,
+    /// Each display beside the fingerprint of the dataset it was
+    /// materialized from, so that [`DisplayCache::purge`] can find it.
+    shards: Sharded<LruCache<u64, (u64, Display)>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -357,10 +396,11 @@ impl DisplayCache {
         let found = self.shards.with(key, |shard| {
             shard
                 .get(&key)
-                // Guard against 64-bit key collisions: a mismatched spec is
-                // treated as a miss, never returned as someone else's display.
-                .filter(|d| d.spec == *spec)
-                .cloned()
+                // Guard against 64-bit key collisions: a mismatched dataset
+                // or spec is treated as a miss, never returned as someone
+                // else's display.
+                .filter(|(fp, d)| *fp == dataset_fingerprint && d.spec == *spec)
+                .map(|(_, d)| d.clone())
         });
         let t = self.telemetry.read().unwrap();
         if let Some(start) = start {
@@ -386,13 +426,25 @@ impl DisplayCache {
             return;
         }
         let key = display_key(dataset_fingerprint, &display.spec);
-        let evicted = self
-            .shards
-            .with(key, |shard| shard.insert(key, display.clone()));
+        let evicted = self.shards.with(key, |shard| {
+            shard.insert(key, (dataset_fingerprint, display.clone()))
+        });
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             self.telemetry.read().unwrap().eviction.inc();
         }
+    }
+
+    /// Drop every display materialized from the dataset with this
+    /// fingerprint, returning how many. Each one holds a copy of its
+    /// filtered frame, so a deleted or evicted dataset's displays would
+    /// otherwise stay resident until LRU pressure pushed them out. Purging
+    /// only decides residency, never results; a decode still running on
+    /// the dataset may store displays again after the purge.
+    pub fn purge(&self, dataset_fingerprint: u64) -> usize {
+        self.shards.fold(0, |purged, shard| {
+            purged + shard.retain(|(fp, _)| *fp != dataset_fingerprint)
+        })
     }
 
     /// Hit/miss/eviction totals since construction (independent of any
@@ -485,6 +537,27 @@ mod tests {
         assert_eq!(c.get(&991), None);
     }
 
+    #[test]
+    fn remove_unlinks_and_frees_capacity() {
+        let mut c = LruCache::new(3);
+        for (k, v) in [("a", 1), ("b", 2), ("c", 3)] {
+            c.insert(k, v);
+        }
+        // Removing the first slab entry moves "c" into its slot.
+        assert_eq!(c.remove(&"a"), Some(1));
+        assert_eq!(c.remove(&"a"), None);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.insert("d", 4), None, "the freed capacity is reused");
+        // Recency order survives the move: "b" is now least recent.
+        assert_eq!(c.insert("e", 5), Some(("b", 2)));
+        assert_eq!(c.get(&"c"), Some(&3));
+        assert_eq!(c.retain(|v| v % 2 == 1), 1, "drops d");
+        assert_eq!(c.get(&"d"), None);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.insert("f", 6), None);
+        assert_eq!(c.insert("g", 7), Some(("e", 5)));
+    }
+
     fn base() -> DataFrame {
         DataFrame::builder()
             .str(
@@ -558,6 +631,35 @@ mod tests {
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 2);
+    }
+
+    #[test]
+    fn purge_drops_one_datasets_displays_and_keeps_anothers() {
+        let a = base();
+        let b = a
+            .filter(&Predicate::new("delay", CmpOp::Gt, 10i64))
+            .unwrap();
+        let cache = DisplayCache::new(64);
+        let specs: Vec<DisplaySpec> = [10i64, 20, 30]
+            .map(|t| DisplaySpec::default().with_predicate(Predicate::new("delay", CmpOp::Ge, t)))
+            .into();
+        for frame in [&a, &b] {
+            for spec in &specs {
+                cache.put(
+                    frame.fingerprint(),
+                    &Display::materialize(frame, spec.clone()).unwrap(),
+                );
+            }
+        }
+        assert_eq!(cache.len(), 6);
+        assert_eq!(cache.purge(a.fingerprint()), 3);
+        assert_eq!(cache.purge(a.fingerprint()), 0);
+        assert_eq!(cache.len(), 3);
+        for spec in &specs {
+            assert!(cache.get(a.fingerprint(), spec).is_none());
+            assert!(cache.get(b.fingerprint(), spec).is_some());
+        }
+        assert_eq!(cache.stats().evictions, 0, "a purge is not an eviction");
     }
 
     #[test]

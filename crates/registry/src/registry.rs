@@ -59,14 +59,18 @@ pub struct DatasetInfo {
     pub tenants: Vec<String>,
 }
 
-/// Result of an ingest call: the dataset metadata plus whether the upload
-/// deduplicated onto an already-resident entry.
+/// Result of an ingest call: the dataset metadata, whether the upload
+/// deduplicated onto an already-resident entry, and which entries it
+/// evicted to make room.
 #[derive(Debug, Clone)]
 pub struct IngestOutcome {
     /// Metadata of the (possibly pre-existing) entry.
     pub info: DatasetInfo,
     /// True when an identical dataset was already resident.
     pub deduplicated: bool,
+    /// Fingerprints of the datasets this insert evicted, least recently
+    /// used first, so callers can drop state derived from them.
+    pub evicted: Vec<u64>,
 }
 
 /// Errors from registry operations; the server maps these onto HTTP codes.
@@ -413,6 +417,7 @@ impl DatasetRegistry {
             return Ok(IngestOutcome {
                 info,
                 deduplicated: true,
+                evicted: Vec::new(),
             });
         }
 
@@ -470,8 +475,7 @@ impl DatasetRegistry {
                 quota: self.config.tenant_quota_bytes,
             });
         }
-        let evicted = victims.len() as u64;
-        for fp in victims {
+        for &fp in &victims {
             Self::remove_entry(&mut inner, fp);
         }
 
@@ -494,12 +498,13 @@ impl DatasetRegistry {
 
         let info = info_of(fingerprint, &inner.entries[&fingerprint]);
         self.publish_gauges(&inner);
-        if evicted > 0 {
-            self.with_telemetry(|t| t.evictions.add(evicted));
+        if !victims.is_empty() {
+            self.with_telemetry(|t| t.evictions.add(victims.len() as u64));
         }
         Ok(IngestOutcome {
             info,
             deduplicated: false,
+            evicted: victims,
         })
     }
 
@@ -687,6 +692,25 @@ mod tests {
         assert!(snap.unpinned_bytes <= snap.budget_bytes);
         // The evicted dataset's bytes were credited back to the tenant.
         assert_eq!(reg.tenant_bytes("t"), a.info.bytes + c.info.bytes);
+    }
+
+    #[test]
+    fn insert_reports_the_fingerprints_it_evicts() {
+        let size = ingest_csv(csv(50, "a").as_bytes(), CsvLimits::unlimited())
+            .unwrap()
+            .approx_bytes();
+        // Room for two datasets of this shape: the fourth upload evicts
+        // the two least recently used at once.
+        let reg = small_registry(size * 2 + size / 2);
+        let a = reg.ingest("t", "a", csv(50, "a").as_bytes()).unwrap();
+        let b = reg.ingest("t", "b", csv(50, "b").as_bytes()).unwrap();
+        assert!(a.evicted.is_empty() && b.evicted.is_empty());
+        let c = reg.ingest("t", "c", csv(50, "c").as_bytes()).unwrap();
+        assert_eq!(c.evicted, vec![a.info.fingerprint]);
+        let big = reg.ingest("t", "d", csv(100, "d").as_bytes()).unwrap();
+        assert_eq!(big.evicted, vec![b.info.fingerprint, c.info.fingerprint]);
+        let again = reg.ingest("u", "d", csv(100, "d").as_bytes()).unwrap();
+        assert!(again.deduplicated && again.evicted.is_empty());
     }
 
     #[test]

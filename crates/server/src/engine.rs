@@ -32,7 +32,8 @@ const DECODE_TEMPERATURE: f32 = 1e-3;
 /// holds its own copy of every column (`DataFrame::filter` gathers each
 /// one with `take`), so a full cache costs up to this many frame copies.
 /// Entries are keyed by dataset fingerprint, so multiple registry datasets
-/// share the cache without interference.
+/// share the cache without interference, and the server purges a
+/// dataset's entries when the registry deletes or evicts it.
 const DISPLAY_CACHE_CAPACITY: usize = 4096;
 
 /// Ceiling on per-request episode length, to bound worst-case work.
@@ -162,6 +163,12 @@ impl Engine {
     /// Default episode length (the bundle's training value).
     pub fn default_episode_len(&self) -> usize {
         self.bundle.env.episode_len
+    }
+
+    /// Drop the display-cache entries of a dataset the registry no longer
+    /// holds (deleted, or evicted by an upload); returns how many.
+    pub fn purge_dataset(&self, fingerprint: u64) -> usize {
+        self.display_cache.purge(fingerprint)
     }
 
     /// Whether a frame's shape can be decoded by this engine's policy.

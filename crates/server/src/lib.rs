@@ -606,6 +606,7 @@ fn route(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) -> RouteO
             let id = path.strip_prefix("/v1/datasets/").unwrap_or_default();
             match state.registry.delete(id) {
                 Ok(info) => {
+                    state.engine.purge_dataset(info.fingerprint);
                     RouteOutcome::plain(Response::json_of(200, "OK", &DatasetBody::from(info)))
                 }
                 Err(e) => registry_error_response(state, &e),
@@ -640,6 +641,9 @@ fn serve_upload(request: &Request, state: &AppState, tenant: &str) -> RouteOutco
         .unwrap_or("upload");
     match state.registry.ingest(tenant, name, &request.body) {
         Ok(outcome) => {
+            for &fingerprint in &outcome.evicted {
+                state.engine.purge_dataset(fingerprint);
+            }
             let frame = state
                 .registry
                 .get(&outcome.info.dataset_id)

@@ -505,6 +505,75 @@ fn oversized_body_rejected_over_socket() {
     handle.shutdown();
 }
 
+/// Deleting a dataset purges its displays from the engine's display cache:
+/// after a delete and a re-upload of the same bytes, the same notebook is
+/// decoded from cold displays again, with as many `env.cache.miss`es as
+/// its first decode, instead of from displays left behind by the delete.
+#[test]
+fn deleted_dataset_displays_are_purged_from_the_display_cache() {
+    let engine = Engine::new(tiny_bundle(), base()).unwrap();
+    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
+    let server = Server::bind_with_telemetry(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            // No response cache: every notebook request decodes.
+            cache_size: 0,
+            ..Default::default()
+        },
+        engine,
+        Arc::clone(&telemetry),
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn().unwrap();
+
+    let mut csv = String::from("proto,len\n");
+    for i in 0..40 {
+        let proto = if i % 3 == 0 { "udp" } else { "tcp" };
+        csv.push_str(&format!("{proto},{}\n", i * 7 % 23));
+    }
+    let upload = || {
+        let (status, _, body) = request_with(addr, "POST", "/v1/datasets?name=purge", &[], &csv);
+        assert_eq!(status, 201, "{body}");
+        let uploaded: serde_json::Value = serde_json::from_str(&body).unwrap();
+        uploaded["dataset"]["dataset_id"]
+            .as_str()
+            .unwrap()
+            .to_string()
+    };
+    let misses = || telemetry.snapshot().counter("env.cache.miss").unwrap_or(0);
+    // The env.cache.miss count one decode of the uploaded dataset adds.
+    let decode_misses = |id: &str, expected: Option<&str>| {
+        let before = misses();
+        let request = format!(r#"{{"dataset_id":"{id}","episode_len":6,"seed":3}}"#);
+        let (status, _, body) = post_notebook(addr, &request);
+        assert_eq!(status, 200, "{body}");
+        if let Some(expected) = expected {
+            assert_eq!(body, expected, "decodes are deterministic");
+        }
+        (misses() - before, body)
+    };
+
+    let id = upload();
+    let (cold, notebook) = decode_misses(&id, None);
+    let (warm, _) = decode_misses(&id, Some(&notebook));
+    assert!(
+        warm < cold,
+        "a warm decode hits cached displays: {warm} vs {cold}"
+    );
+
+    let (status, _, body) = request_with(addr, "DELETE", &format!("/v1/datasets/{id}"), &[], "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(upload(), id, "the same bytes get the same id");
+    let (after_delete, _) = decode_misses(&id, Some(&notebook));
+    assert_eq!(
+        after_delete, cold,
+        "the delete purged every display of the dataset"
+    );
+    handle.shutdown();
+}
+
 /// The full multi-tenant dataset lifecycle over real sockets: upload with
 /// schema echo, cross-tenant dedup, notebook decode against the uploaded
 /// dataset byte-identical to an offline decode from the same CSV, delete,
