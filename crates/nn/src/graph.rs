@@ -133,16 +133,8 @@ impl Graph {
 
     /// `A + bias` with a 1×c bias broadcast across rows.
     pub fn add_row_broadcast(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        let av = &self.nodes[a.0].value;
-        let bv = &self.nodes[bias.0].value;
-        assert_eq!(bv.rows(), 1, "bias must be a row vector");
-        assert_eq!(av.cols(), bv.cols(), "bias width mismatch");
-        let mut v = av.clone();
-        for r in 0..v.rows() {
-            for c in 0..v.cols() {
-                v.set(r, c, v.get(r, c) + bv.get(0, c));
-            }
-        }
+        let mut v = self.nodes[a.0].value.clone();
+        v.add_row_broadcast_assign(&self.nodes[bias.0].value);
         let ng = self.needs(a) || self.needs(bias);
         self.push(v, Op::AddRowBroadcast(a, bias), ng)
     }
@@ -293,6 +285,15 @@ impl Graph {
         }
     }
 
+    /// [`Graph::accumulate`] a delta computed from borrowed node values,
+    /// only when `id` needs a gradient.
+    fn accumulate_with(&mut self, id: NodeId, delta: impl FnOnce(&Self) -> Tensor) {
+        if self.needs(id) {
+            let delta = delta(self);
+            self.accumulate(id, delta);
+        }
+    }
+
     fn accumulate(&mut self, id: NodeId, delta: Tensor) {
         if !self.nodes[id.0].needs_grad {
             return;
@@ -307,15 +308,9 @@ impl Graph {
         match op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
-                let (av, bv) = (self.nodes[a.0].value.clone(), self.nodes[b.0].value.clone());
-                if self.needs(*a) {
-                    // matmul_nt/matmul_tn skip the transpose copies and are
-                    // bit-identical to the transpose-then-matmul originals.
-                    self.accumulate(*a, grad_out.matmul_nt(&bv));
-                }
-                if self.needs(*b) {
-                    self.accumulate(*b, av.matmul_tn(grad_out));
-                }
+                // dA = dY · Bᵀ, dB = Aᵀ · dY.
+                self.accumulate_with(*a, |g| grad_out.matmul_nt(g.value(*b)));
+                self.accumulate_with(*b, |g| g.value(*a).matmul_tn(grad_out));
             }
             Op::Add(a, b) => {
                 self.accumulate(*a, grad_out.clone());
@@ -323,33 +318,30 @@ impl Graph {
             }
             Op::AddRowBroadcast(a, bias) => {
                 self.accumulate(*a, grad_out.clone());
-                if self.needs(*bias) {
+                self.accumulate_with(*bias, |_| {
+                    // Column sums, adding the rows in order.
                     let mut col_sums = Tensor::zeros(1, grad_out.cols());
                     for r in 0..grad_out.rows() {
-                        for c in 0..grad_out.cols() {
-                            col_sums.set(0, c, col_sums.get(0, c) + grad_out.get(r, c));
+                        for (s, &g) in col_sums.data_mut().iter_mut().zip(grad_out.row(r)) {
+                            *s += g;
                         }
                     }
-                    self.accumulate(*bias, col_sums);
-                }
+                    col_sums
+                });
             }
             Op::Sub(a, b) => {
                 self.accumulate(*a, grad_out.clone());
                 self.accumulate(*b, grad_out.map(|x| -x));
             }
             Op::Mul(a, b) => {
-                let (av, bv) = (self.nodes[a.0].value.clone(), self.nodes[b.0].value.clone());
-                if self.needs(*a) {
-                    self.accumulate(*a, grad_out.zip(&bv, |g, y| g * y));
-                }
-                if self.needs(*b) {
-                    self.accumulate(*b, grad_out.zip(&av, |g, x| g * x));
-                }
+                self.accumulate_with(*a, |g| grad_out.zip(g.value(*b), |d, y| d * y));
+                self.accumulate_with(*b, |g| grad_out.zip(g.value(*a), |d, x| d * x));
             }
             Op::Scale(a, k) => self.accumulate(*a, grad_out.map(|g| g * k)),
             Op::Relu(a) => {
-                let av = self.nodes[a.0].value.clone();
-                self.accumulate(*a, grad_out.zip(&av, |g, x| if x > 0.0 { g } else { 0.0 }));
+                self.accumulate_with(*a, |g| {
+                    grad_out.zip(g.value(*a), |d, x| if x > 0.0 { d } else { 0.0 })
+                });
             }
             Op::Tanh(a) => {
                 self.accumulate(*a, grad_out.zip(out_value, |g, y| g * (1.0 - y * y)));
@@ -399,40 +391,29 @@ impl Graph {
                 self.accumulate(*a, Tensor::full(shape.0, shape.1, grad_out.scalar()));
             }
             Op::MinElem(a, b) => {
-                let (av, bv) = (self.nodes[a.0].value.clone(), self.nodes[b.0].value.clone());
-                if self.needs(*a) {
+                // `grad_out`, zeroed where `blocked(A, B)`.
+                let (a, b) = (*a, *b);
+                let routed = |g: &Self, blocked: fn(f32, f32) -> bool| {
                     let mut delta = grad_out.clone();
-                    for (d, (x, y)) in delta
+                    let (av, bv) = (g.value(a), g.value(b));
+                    for (d, (&x, &y)) in delta
                         .data_mut()
                         .iter_mut()
                         .zip(av.data().iter().zip(bv.data()))
                     {
-                        if x > y {
+                        if blocked(x, y) {
                             *d = 0.0;
                         }
                     }
-                    self.accumulate(*a, delta);
-                }
-                if self.needs(*b) {
-                    let mut delta = grad_out.clone();
-                    for (d, (x, y)) in delta
-                        .data_mut()
-                        .iter_mut()
-                        .zip(av.data().iter().zip(bv.data()))
-                    {
-                        if x <= y {
-                            *d = 0.0;
-                        }
-                    }
-                    self.accumulate(*b, delta);
-                }
+                    delta
+                };
+                self.accumulate_with(a, |g| routed(g, |x, y| x > y));
+                self.accumulate_with(b, |g| routed(g, |x, y| x <= y));
             }
             Op::Clamp(a, lo, hi) => {
-                let av = self.nodes[a.0].value.clone();
-                self.accumulate(
-                    *a,
-                    grad_out.zip(&av, |g, x| if x > *lo && x < *hi { g } else { 0.0 }),
-                );
+                self.accumulate_with(*a, |g| {
+                    grad_out.zip(g.value(*a), |d, x| if x > *lo && x < *hi { d } else { 0.0 })
+                });
             }
         }
     }

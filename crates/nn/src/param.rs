@@ -146,7 +146,7 @@ impl ParamSet {
     pub fn grad_norm(&self) -> f32 {
         self.params
             .iter()
-            .map(|p| p.grad().sum_squares())
+            .map(|p| p.inner.read().grad.sum_squares())
             .sum::<f32>()
             .sqrt()
     }
