@@ -414,6 +414,9 @@ fn train_binary_writes_worker_counters_and_training_spans() {
         "rollout.worker",
         "rollout.merge",
         "ppo.update",
+        "ppo.forward",
+        "ppo.backward",
+        "ppo.step",
     ] {
         assert!(
             spans.iter().any(|s| s["name"].as_str() == Some(name)),

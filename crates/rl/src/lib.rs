@@ -37,7 +37,7 @@ pub use policy::{
     active_heads, op_of_head_choice, ActionChoice, ActionMapper, Evaluation, MappedAction, Policy,
     PolicyRow, PolicyStep, N_HEADS,
 };
-pub use ppo::{PpoConfig, PpoLearner, UpdateStats};
+pub use ppo::{PpoConfig, PpoLearner, UpdateProfile, UpdateStats};
 pub use rollout::{AdvantageEstimates, RolloutBuffer, RolloutStep};
 pub use source::{RolloutPlan, Rollouts, DEFAULT_DISPLAY_CACHE};
 pub use trainer::{CurvePoint, EpisodeRecord, TrainLog, Trainer, TrainerConfig};

@@ -7,6 +7,7 @@ use atena_nn::{Adam, Graph, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// PPO hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,22 +65,57 @@ pub struct UpdateStats {
     pub clip_fraction: f32,
 }
 
+/// Wall time of one update's phases, each summed over its minibatches.
+///
+/// Execution-only, like the runtime's `ScatterProfile`: it is read after
+/// the update returns and feeds no result, so it stays out of
+/// [`UpdateStats`], which the determinism checks compare.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct UpdateProfile {
+    /// Seconds in `Policy::evaluate` plus the loss graph.
+    pub forward_secs: f64,
+    /// Seconds zeroing the gradients and in `Graph::backward`.
+    pub backward_secs: f64,
+    /// Seconds in gradient clipping plus the Adam step.
+    pub step_secs: f64,
+}
+
+/// Seconds since `*mark`, moving the mark to now.
+fn lap(mark: &mut Instant) -> f64 {
+    // atena-lint: allow(wall-clock) — update phase timing telemetry; never affects results
+    let now = Instant::now();
+    let secs = now.duration_since(*mark).as_secs_f64();
+    *mark = now;
+    secs
+}
+
 /// The PPO learner: owns the optimizer, borrows the policy per update.
 pub struct PpoLearner {
     config: PpoConfig,
     optimizer: Adam,
+    profile: UpdateProfile,
 }
 
 impl PpoLearner {
     /// Create a learner for a policy's parameters.
     pub fn new(policy: &dyn Policy, config: PpoConfig) -> Self {
         let optimizer = Adam::new(policy.params(), config.learning_rate);
-        Self { config, optimizer }
+        Self {
+            config,
+            optimizer,
+            profile: UpdateProfile::default(),
+        }
     }
 
     /// The configuration.
     pub fn config(&self) -> &PpoConfig {
         &self.config
+    }
+
+    /// Phase timings of the most recent [`PpoLearner::update`] (all zero
+    /// before the first one and after an update on an empty buffer).
+    pub fn last_profile(&self) -> UpdateProfile {
+        self.profile
     }
 
     /// Run the PPO epochs over one rollout buffer; returns diagnostics
@@ -90,6 +126,7 @@ impl PpoLearner {
         buffer: &RolloutBuffer,
         rng: &mut StdRng,
     ) -> UpdateStats {
+        self.profile = UpdateProfile::default();
         if buffer.is_empty() {
             return UpdateStats::default();
         }
@@ -147,6 +184,8 @@ impl PpoLearner {
         }
         let obs = Tensor::from_vec(b, obs_dim, obs_data);
 
+        // atena-lint: allow(wall-clock) — update phase timing telemetry; never affects results
+        let mut mark = Instant::now();
         let mut g = Graph::new();
         let eval = policy.evaluate(&mut g, &obs, &choices);
         let old_logp_node = g.constant(Tensor::col_vector(old_logp));
@@ -179,11 +218,14 @@ impl PpoLearner {
         let e_scaled = g.scale(entropy_mean, -self.config.entropy_coef);
         let partial = g.add(policy_loss, v_scaled);
         let total = g.add(partial, e_scaled);
+        self.profile.forward_secs += lap(&mut mark);
 
         policy.params().zero_grads();
         g.backward(total);
+        self.profile.backward_secs += lap(&mut mark);
         let grad_norm = policy.params().clip_grad_norm(self.config.max_grad_norm);
         self.optimizer.step(policy.params());
+        self.profile.step_secs += lap(&mut mark);
 
         let ratios = g.value(ratio);
         let eps = self.config.clip_eps;

@@ -240,10 +240,23 @@ impl Trainer {
                 }
             }
             let update_span = trace.span("ppo.update");
+            let update_id = update_span.id();
             last_update = self
                 .learner
                 .update(self.policy.as_ref(), &buffer, &mut self.rng);
             let update_secs = update_span.finish();
+            if trace.is_recording() {
+                // Phase times summed over the minibatches, measured by the
+                // learner; attached post-hoc under the update span.
+                let phases = self.learner.last_profile();
+                for (name, secs) in [
+                    ("ppo.forward", phases.forward_secs),
+                    ("ppo.backward", phases.backward_secs),
+                    ("ppo.step", phases.step_secs),
+                ] {
+                    trace.record_exact(update_id, name, secs, vec![]);
+                }
+            }
             trace.attr("steps", iter_steps.to_string());
             let mean_reward = if self.recent_episodes.is_empty() {
                 f64::NAN
@@ -552,6 +565,19 @@ mod tests {
         }
         let update = spans.iter().find(|s| s.name == "ppo.update").unwrap();
         assert_eq!(update.parent_id, root.span_id);
+        let mut phase_secs = 0.0;
+        for phase in ["ppo.forward", "ppo.backward", "ppo.step"] {
+            assert_eq!(by_name(phase), 1, "one {phase} span per update");
+            let s = spans.iter().find(|s| s.name == phase).unwrap();
+            assert_eq!(s.parent_id, update.span_id, "{phase} sits under ppo.update");
+            assert!(s.duration_secs > 0.0, "{phase} measured no time");
+            phase_secs += s.duration_secs;
+        }
+        assert!(
+            phase_secs <= update.duration_secs,
+            "update phases sum to {phase_secs}s, more than the update's {}s",
+            update.duration_secs
+        );
         assert!(root.duration_secs >= collect.duration_secs);
         assert!(root.attrs.contains(&("iter", "0".to_string())));
     }
