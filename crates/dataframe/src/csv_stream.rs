@@ -240,7 +240,7 @@ impl CsvStreamParser {
         if self
             .bytes_seen
             .checked_add(chunk.len())
-            .map_or(true, |total| total > self.limits.max_bytes)
+            .is_none_or(|total| total > self.limits.max_bytes)
         {
             return Err(CsvStreamError::TooManyBytes {
                 limit: self.limits.max_bytes,

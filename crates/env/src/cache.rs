@@ -391,7 +391,7 @@ impl DisplayCache {
         // LOOKUP_SAMPLE instead. Counters stay exact.
         let tick = self.lookup_tick.fetch_add(1, Ordering::Relaxed);
         // atena-lint: allow(wall-clock) — sampled latency telemetry; never affects results
-        let start = (tick % Self::LOOKUP_SAMPLE == 0).then(Instant::now);
+        let start = tick.is_multiple_of(Self::LOOKUP_SAMPLE).then(Instant::now);
         let key = display_key(dataset_fingerprint, spec);
         let found = self.shards.with(key, |shard| {
             shard

@@ -719,7 +719,7 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
 // Workspace walk
 // ---------------------------------------------------------------------------
 
-fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -729,7 +729,7 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
             if name.starts_with('.') || name == "target" {
                 continue;
             }
-            walk(&path, root, out)?;
+            walk(&path, out)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }
@@ -745,7 +745,7 @@ pub fn check_workspace(
     baseline: &Baseline,
 ) -> std::io::Result<Report> {
     let mut files = Vec::new();
-    walk(root, root, &mut files)?;
+    walk(root, &mut files)?;
     let mut rels: Vec<String> = files
         .iter()
         .filter_map(|p| p.strip_prefix(root).ok())

@@ -269,11 +269,7 @@ fn mark_test_regions(lines: &mut [Line]) {
                         region_depth = None;
                     }
                 }
-                b';' => {
-                    if armed && region_depth.is_none() {
-                        armed = false;
-                    }
-                }
+                b';' if armed && region_depth.is_none() => armed = false,
                 _ => {}
             }
         }

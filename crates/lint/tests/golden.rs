@@ -164,9 +164,10 @@ fn crate_root_forbid_check() {
 fn baseline_round_trips_through_json_report() {
     // Build a report over a seeded-bad fixture, derive a baseline from it,
     // serialize both, parse them back, and check the ratchet zeroes out.
-    let mut report = Report::default();
-    report.findings = scan_source("crates/env/src/fixture.rs", HASH_ORDER_BAD, &cfg());
-    report.files_scanned = 1;
+    let mut report = Report {
+        findings: scan_source("crates/env/src/fixture.rs", HASH_ORDER_BAD, &cfg()),
+        files_scanned: 1,
+    };
     assert_eq!(report.count(Status::New), 4);
 
     let baseline = Baseline::from_report(&report);

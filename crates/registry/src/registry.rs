@@ -445,7 +445,7 @@ impl DatasetRegistry {
         let mut freed = 0usize;
         for &(_, fp) in &candidates {
             let fits_bytes = inner.unpinned_bytes - freed + bytes <= self.config.budget_bytes;
-            let fits_count = unpinned_count - victims.len() + 1 <= self.config.max_datasets;
+            let fits_count = unpinned_count - victims.len() < self.config.max_datasets;
             if fits_bytes && fits_count {
                 break;
             }

@@ -364,7 +364,7 @@ impl Histogram {
 
     /// Index of the bucket a sample falls into.
     pub fn bucket_index(v: f64) -> usize {
-        if !(v > HISTOGRAM_FIRST_BOUND) {
+        if v.partial_cmp(&HISTOGRAM_FIRST_BOUND) != Some(std::cmp::Ordering::Greater) {
             // NaN, negatives, and anything at or below the first bound.
             return 0;
         }
@@ -781,12 +781,12 @@ mod tests {
 
     #[test]
     fn rss_probe_reports_a_sane_value_on_linux() {
-        match rss_bytes() {
+        // Non-Linux platforms have no /proc; the probe opts out cleanly
+        // with `None`.
+        if let Some(rss) = rss_bytes() {
             // A running test process holds at least a few hundred KiB and
             // (being a test binary) far less than a terabyte.
-            Some(rss) => assert!(rss > (1 << 18) && rss < (1u64 << 40), "rss {rss}"),
-            // Non-Linux platforms have no /proc; the probe opts out cleanly.
-            None => {}
+            assert!(rss > (1 << 18) && rss < (1u64 << 40), "rss {rss}");
         }
     }
 

@@ -420,7 +420,7 @@ mod tests {
         #[test]
         fn oneof_covers_alternatives(acts in prop::collection::vec(act_strategy(), 40..60)) {
             prop_assert!(acts.iter().any(|a| matches!(a, Act::Go { .. })));
-            prop_assert!(acts.iter().any(|a| *a == Act::Stop));
+            prop_assert!(acts.contains(&Act::Stop));
             for a in &acts {
                 if let Act::Go { speed } = a {
                     prop_assert!(*speed < 10, "speed {} out of range", speed);

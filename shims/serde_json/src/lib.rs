@@ -128,7 +128,7 @@ fn write_content(out: &mut String, c: &Content, indent: Option<usize>, depth: us
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
-        out.extend(std::iter::repeat(' ').take(width * depth));
+        out.extend(std::iter::repeat_n(' ', width * depth));
     }
 }
 
